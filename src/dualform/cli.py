@@ -28,12 +28,25 @@ def _load_json(text):
                          f"column {exc.colno}: {exc.msg}")
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _document(doc):
+    if not isinstance(doc, dict):
+        raise ValidationError("top-level document must be an object")
+    return doc
+
+
 def _field_from_doc(doc):
     if isinstance(doc, str):
         doc = {"kind": doc}
-    if not isinstance(doc, dict) or "kind" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("kind"), str):
         raise ValidationError("field descriptor needs a 'kind'")
-    return make_field(doc["kind"], doc.get("p"))
+    p = doc.get("p")
+    if p is not None and not _is_int(p):
+        raise ValidationError("field 'p' must be an integer")
+    return make_field(doc["kind"], p)
 
 
 def _field_from_flag(text):
@@ -51,7 +64,7 @@ def _parse_scalar(field, value, where):
     try:
         if isinstance(value, str):
             return field.parse(value)
-        if isinstance(value, int):
+        if _is_int(value):
             return field.scalar(value)
     except (ValueError, ZeroDivisionError):
         pass
@@ -60,15 +73,13 @@ def _parse_scalar(field, value, where):
 
 def parse_problem(text, field_override=None):
     """Problem file -> MetricSpace; location-carrying errors otherwise."""
-    doc = _load_json(text) if isinstance(text, str) else text
-    if not isinstance(doc, dict):
-        raise ValidationError("top-level document must be an object")
+    doc = _document(_load_json(text) if isinstance(text, str) else text)
     for key in ("field", "n", "S", "Q"):
         if key not in doc:
             raise ValidationError(f"missing top-level key {key!r}")
     field = field_override or _field_from_doc(doc["field"])
     n = doc["n"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ValidationError("'n' must be a non-negative integer")
     rows = doc["S"]
     if not isinstance(rows, list):
@@ -86,13 +97,15 @@ def parse_problem(text, field_override=None):
     if not isinstance(diag, list) or len(diag) != m:
         raise ValidationError(f"Q.diag must list {m} scalars")
     diag = [_parse_scalar(field, x, "Q.diag") for x in diag]
+    entries = q.get("upper", [])
+    if not isinstance(entries, list):
+        raise ValidationError("Q.upper must be a list")
     upper = {}
-    for entry in q.get("upper", []):
+    for entry in entries:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise ValidationError("Q.upper entries must be [i, j, value]")
         i, j, v = entry
-        if not (isinstance(i, int) and isinstance(j, int)
-                and 0 <= i < j < m):
+        if not (_is_int(i) and _is_int(j) and 0 <= i < j < m):
             raise ValidationError(f"Q.upper index ({i}, {j}) out of order "
                                   f"or range")
         upper[(i, j)] = _parse_scalar(field, v, f"Q.upper[{i},{j}]")
@@ -148,11 +161,6 @@ def _cmd_dualize(inst, args):
     res = dualize(inst)
     ab = res.adapted
     F = inst.field
-    d, m = ab.i2.start, ab.i3.start
-    g22 = inst.change_of_basis(
-        Matrix.from_columns(F, [inst.coords_of(ab.column(j))
-                                for j in range(m)])
-    ).polar_gram().submatrix(ab.i2, ab.i2) if m else inst.polar_gram()
     doc = {
         "S_hat": _fmt_mat(res.s_hat.basis),
         "R_hat": _fmt_mat(res.r_hat.basis),
@@ -161,9 +169,8 @@ def _cmd_dualize(inst, args):
         "adapted_basis_columns": _fmt_mat(ab.a.transpose()),
         "index_sets": {"I1": list(ab.i1), "I2": list(ab.i2),
                        "I3": list(ab.i3)},
-        "G22": _fmt_mat(g22),
-        "G22_hat": _fmt_mat(res.dual.polar_gram().submatrix(
-            range(m - d), range(m - d))) if m - d else [],
+        "G22": _fmt_mat(res.g22),
+        "G22_hat": _fmt_mat(res.g22_hat),
     }
     if args.half_gram:
         doc["half_gram"] = _half_gram(inst)
@@ -217,7 +224,9 @@ def _cmd_similarity(inst, args):
     if not isinstance(mdoc, dict) or "P" not in mdoc:
         raise ValidationError("map file must contain key 'P'")
     rows = mdoc["P"]
-    if not (isinstance(rows, list) and len(rows) == inst.n):
+    if not (isinstance(rows, list) and len(rows) == inst.n
+            and all(isinstance(r, list) and len(r) == inst.n
+                    for r in rows)):
         raise ValidationError(f"P must be a {inst.n} x {inst.n} matrix")
     P = Matrix(inst.field,
                [[_parse_scalar(inst.field, x, "P") for x in row]
@@ -246,7 +255,8 @@ def _cmd_adjugate(doc, args, field):
     if "M" not in doc:
         raise ValidationError("adjugate input needs key 'M'")
     rows = doc["M"]
-    if not isinstance(rows, list) or any(len(r) != len(rows) for r in rows):
+    if not isinstance(rows, list) or any(
+            not isinstance(r, list) or len(r) != len(rows) for r in rows):
         raise ValidationError("M must be a square matrix")
     M = Matrix(field, [[_parse_scalar(field, x, "M") for x in row]
                        for row in rows], cols=len(rows))
@@ -307,11 +317,11 @@ def run(args):
     if getattr(args, "half_gram", False):
         probe = override
         if probe is None:
-            probe = _field_from_doc(_load_json(text).get("field"))
+            probe = _field_from_doc(_document(_load_json(text)).get("field"))
         if probe.characteristic() == 2:
             raise ValidationError("--half-gram requires characteristic != 2")
     if args.command == "adjugate":
-        doc = _load_json(text)
+        doc = _document(_load_json(text))
         field = override or _field_from_doc(doc.get("field"))
         out = _cmd_adjugate(doc, args, field)
     else:

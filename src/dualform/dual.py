@@ -4,30 +4,31 @@ Given (S, Q) inside F^n, the dual form lives on S^ = ann(R), the forms
 annihilating the radical R, and is pinned down by the linking relation: a
 form a* is linked to a vector x in S when <a*, y> = B(x, y) for all y in S.
 Linked partners share their Q-value, which is well defined exactly when Q
-vanishes on R \ {0}.
+vanishes on the nonzero vectors of R.
 
 Two independent routes to the dual value exist: the coordinate recipe (invert
 the middle Gram block in an adapted basis) implemented by dualize(), and
 coset chasing via linked_coset(), kept separate so tests can cross-validate.
 """
 
-from .errors import (LengthMismatch, NotInSHat, NotInSubspace,
-                     RadicalConditionViolated)
-from .linalg import (Matrix, Subspace, annihilator, dot, extend_basis,
-                     complete_to_ambient, invert_matrix, solve, vec_add)
+from .errors import LengthMismatch, NotInSHat, RadicalConditionViolated
+from .linalg import (Matrix, annihilator, complete_to_ambient, dot,
+                     extend_basis, invert_matrix, solve, vec_add)
 from .quadform import MetricSpace, QuadraticForm
 
 
 class AdaptedBasis:
     """Basis of F^n ordered radical-first: columns of a span R on i1, S on
     i1 + i2.  Rows of a_inv are the dual basis in standard dual coordinates.
+    Column j of coords holds the s_basis coordinates of column j < m of a.
     """
 
-    __slots__ = ("a", "a_inv", "i1", "i2", "i3")
+    __slots__ = ("a", "a_inv", "coords", "i1", "i2", "i3")
 
-    def __init__(self, a, a_inv, d, m, n):
+    def __init__(self, a, a_inv, coords, d, m, n):
         self.a = a
         self.a_inv = a_inv
+        self.coords = coords
         self.i1 = range(0, d)
         self.i2 = range(d, m)
         self.i3 = range(m, n)
@@ -59,13 +60,15 @@ class LinkedCoset:
 
 
 class DualFormResult:
-    __slots__ = ("s_hat", "r_hat", "dual", "adapted")
+    __slots__ = ("s_hat", "r_hat", "dual", "adapted", "g22", "g22_hat")
 
-    def __init__(self, s_hat, r_hat, dual, adapted):
+    def __init__(self, s_hat, r_hat, dual, adapted, g22, g22_hat):
         self.s_hat = s_hat      # ann(R), subspace of dual coordinates
         self.r_hat = r_hat      # ann(S)
         self.dual = dual        # MetricSpace on the dual side
         self.adapted = adapted
+        self.g22 = g22          # middle Gram block in the adapted basis
+        self.g22_hat = g22_hat  # its inverse
 
 
 def adapted_basis(inst):
@@ -78,14 +81,14 @@ def adapted_basis(inst):
     F = inst.field
     rad = inst.radical()
     d, m, n = rad.dim, inst.m, inst.n
-    prefix = Subspace.from_rows(F, n, list(inst.s_basis[:d]))
-    if d == 0 or prefix == rad.subspace:
+    if all(rad.subspace.contains(b) for b in inst.s_basis[:d]):
         s_vectors = list(inst.s_basis)
+        coords = Matrix.identity(F, m)
     else:
         s_vectors = extend_basis(rad.subspace, inst.subspace)
-    all_vectors = complete_to_ambient(F, s_vectors, n)
-    a = Matrix.from_columns(F, all_vectors)
-    return AdaptedBasis(a, invert_matrix(a), d, m, n)
+        coords = inst.coords_matrix(s_vectors)
+    a = Matrix.from_columns(F, complete_to_ambient(F, s_vectors, n))
+    return AdaptedBasis(a, invert_matrix(a), coords, d, m, n)
 
 
 def _check_in_s_hat(inst, rad, a_star):
@@ -129,9 +132,8 @@ def linked_forms(inst, s):
     coords = inst.coords_of(s)
     ab = adapted_basis(inst)
     rep = [F.zero] * inst.n
-    for j in list(ab.i1) + list(ab.i2):
-        cj = inst.coords_of(ab.column(j))
-        val = inst.eval_b(coords, cj)
+    for j in range(inst.m):
+        val = inst.eval_b(coords, ab.coords.column(j))
         if not F.is_zero(val):
             row = ab.dual_row(j)
             rep = [F.add(r, F.mul(val, x)) for r, x in zip(rep, row)]
@@ -153,30 +155,18 @@ def dualize(inst):
     ab = adapted_basis(inst)
     d, m, n = ab.i2.start, ab.i3.start, inst.n
     t = m - d
-    if m:
-        T = Matrix.from_columns(
-            F, [inst.coords_of(ab.column(j)) for j in range(m)])
-        inst_ad = inst.change_of_basis(T)
-    else:
-        inst_ad = inst
-    g = inst_ad.polar_gram()
-    g22 = g.submatrix(range(d, m), range(d, m))
+    inst_ad = inst.change_of_basis(ab.coords)
+    g22 = inst_ad.polar_gram().submatrix(ab.i2, ab.i2)
     g22_hat = invert_matrix(g22)
-    diag = []
-    upper = {}
-    for i in range(t):
-        coords = [F.zero] * d + list(g22_hat.row(i))
-        diag.append(inst_ad.eval_q(coords))
-        for j in range(i + 1, t):
-            upper[(i, j)] = g22_hat[i, j]
-    diag.extend([F.zero] * (n - m))
-    rad = inst.radical()
-    s_hat = annihilator(rad.subspace)
+    diag = [inst_ad.eval_q([F.zero] * d + list(g22_hat.row(i)))
+            for i in range(t)] + [F.zero] * (n - m)
+    upper = {(i, j): g22_hat[i, j] for i in range(t) for j in range(i + 1, t)}
+    s_hat = annihilator(inst.radical().subspace)
     r_hat = annihilator(inst.subspace)
     dual_basis = [ab.dual_row(i) for i in range(d, n)]
     dual = MetricSpace(F, n, dual_basis,
                        QuadraticForm(F, diag, upper), subspace=s_hat)
-    return DualFormResult(s_hat, r_hat, dual, ab)
+    return DualFormResult(s_hat, r_hat, dual, ab, g22, g22_hat)
 
 
 def double_dual_check(inst):
@@ -186,10 +176,7 @@ def double_dual_check(inst):
     back = second.dual
     if back.subspace != inst.subspace:
         return False
-    if inst.m:
-        T = Matrix.from_columns(inst.field,
-                                [back.coords_of(b) for b in inst.s_basis])
-        back = back.change_of_basis(T)
+    back = back.change_of_basis(back.coords_matrix(inst.s_basis))
     return back.form == inst.form and back.s_basis == inst.s_basis
 
 

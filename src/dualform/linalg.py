@@ -128,6 +128,15 @@ def vec_scale(F, c, x):
     return tuple(F.mul(c, u) for u in x)
 
 
+def combine(F, coeffs, rows, n):
+    """sum_i coeffs[i] * rows[i] in F^n."""
+    out = [F.zero] * n
+    for c, row in zip(coeffs, rows):
+        if not F.is_zero(c):
+            out = [F.add(o, F.mul(c, x)) for o, x in zip(out, row)]
+    return tuple(out)
+
+
 def rref(M):
     """Reduced row echelon form.
 
@@ -277,12 +286,15 @@ def adjugate(M):
 class Subspace:
     """A subspace of F^n given by its canonical RREF basis rows."""
 
-    __slots__ = ("field", "ambient_dim", "basis")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots")
 
     def __init__(self, field, ambient_dim, basis):
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = basis  # Matrix, rows in canonical RREF, full row rank
+        zero = field.zero
+        self.pivots = [next(j for j, x in enumerate(row) if x != zero)
+                       for row in basis.data]
 
     @classmethod
     def from_rows(cls, field, ambient_dim, rows):
@@ -315,14 +327,19 @@ class Subspace:
         return self.coordinates(vec) is not None
 
     def coordinates(self, vec):
-        """Coefficients of vec over the stored basis rows, or None."""
+        """Coefficients of vec over the stored basis rows, or None.
+
+        In canonical RREF the coefficient of a row is vec's entry at that
+        row's pivot column; recombining the rows tests membership.
+        """
         if len(vec) != self.ambient_dim:
             raise LengthMismatch("vector length != ambient dimension")
-        if self.dim == 0:
-            zero = self.field.zero
-            return () if all(x == zero for x in vec) else None
-        sol = solve(self.basis.transpose(), vec)
-        return sol[0] if sol is not None else None
+        F = self.field
+        vec = tuple(F.scalar(x) for x in vec)
+        coeffs = tuple(vec[p] for p in self.pivots)
+        if combine(F, coeffs, self.basis.data, self.ambient_dim) != vec:
+            return None
+        return coeffs
 
     def is_subspace_of(self, other):
         return all(other.contains(self.basis.row(i))
@@ -342,20 +359,23 @@ class Subspace:
                 f"basis={[list(r) for r in self.basis.data]})")
 
 
-def kernel(M):
-    """Solution space of M x = 0 as a Subspace of F^cols."""
-    F = M.field
-    R, _, pivots = rref(M)
-    pivot_set = set(pivots)
-    free = [c for c in range(M.cols) if c not in pivot_set]
+def _null_space(F, R, pivots, cols):
+    """Solution space of R x = 0 for R in reduced row-echelon form."""
+    free = [c for c in range(cols) if c not in pivots]
     rows = []
     for f in free:
-        v = [F.zero] * M.cols
+        v = [F.zero] * cols
         v[f] = F.one
         for r, p in enumerate(pivots):
             v[p] = F.neg(R[r, f])
         rows.append(v)
-    return Subspace.from_rows(F, M.cols, rows)
+    return Subspace.from_rows(F, cols, rows)
+
+
+def kernel(M):
+    """Solution space of M x = 0 as a Subspace of F^cols."""
+    R, _, pivots = rref(M)
+    return _null_space(M.field, R, pivots, M.cols)
 
 
 def solve(M, b):
@@ -365,31 +385,25 @@ def solve(M, b):
         raise LengthMismatch("rhs length != number of rows")
     R, T, pivots = rref(M)
     c = T.mul_vec(b)
-    for i in range(len(pivots), M.rows):
-        if not F.is_zero(c[i]):
-            return None
+    if not all(F.is_zero(x) for x in c[len(pivots):]):
+        return None
     x = [F.zero] * M.cols
     for r, p in enumerate(pivots):
         x[p] = c[r]
-    return tuple(x), kernel(M)
+    return tuple(x), _null_space(F, R, pivots, M.cols)
 
 
 def annihilator(T):
     """Linear forms (dual coordinate rows) vanishing on T."""
-    return kernel(T.basis)
+    return _null_space(T.field, T.basis, T.pivots, T.ambient_dim)
 
 
-def _complete_basis(field, prefix_rows, candidates, target_dim, ambient_dim):
-    chosen = [tuple(field.scalar(x) for x in row) for row in prefix_rows]
-    r = len(chosen)
-    for cand in candidates:
-        if r == target_dim:
-            break
-        trial = chosen + [tuple(cand)]
-        if rank(Matrix(field, trial)) == r + 1:
-            chosen = trial
-            r += 1
-    return chosen
+def _complete_basis(field, prefix_rows, candidates):
+    """The independent prefix rows, then each candidate outside the span of
+    the vectors before it: the pivot columns of one rref of the column
+    matrix [prefix | candidates]."""
+    cols = Matrix.from_columns(field, list(prefix_rows) + list(candidates))
+    return [cols.column(j) for j in rref(cols)[2]]
 
 
 def extend_basis(inner, outer):
@@ -402,10 +416,7 @@ def extend_basis(inner, outer):
         raise NotNested("subspaces live in different ambient spaces")
     if not inner.is_subspace_of(outer):
         raise NotNested("inner is not contained in outer")
-    prefix = [inner.basis.row(i) for i in range(inner.dim)]
-    candidates = [outer.basis.row(i) for i in range(outer.dim)]
-    out = _complete_basis(inner.field, prefix, candidates, outer.dim,
-                          outer.ambient_dim)
+    out = _complete_basis(inner.field, inner.basis.data, outer.basis.data)
     assert len(out) == outer.dim
     return out
 
@@ -413,7 +424,5 @@ def extend_basis(inner, outer):
 def complete_to_ambient(field, prefix_rows, ambient_dim):
     """Extend independent prefix rows to a basis of F^n with standard
     basis vectors in index order."""
-    eye = Matrix.identity(field, ambient_dim)
     return _complete_basis(field, prefix_rows,
-                           [eye.row(i) for i in range(ambient_dim)],
-                           ambient_dim, ambient_dim)
+                           Matrix.identity(field, ambient_dim).data)

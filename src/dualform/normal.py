@@ -10,7 +10,7 @@ basis vectors span the radical.
 """
 
 from .errors import CharTwo, NotCharTwo, RadicalConditionViolated
-from .linalg import Matrix, rank, vec_add, vec_scale
+from .linalg import Matrix, complete_to_ambient, vec_add, vec_scale
 
 DIAGONAL = "diagonal"
 MINOR_DIAGONAL_CHAR2 = "minor-diagonal-char2"
@@ -27,18 +27,9 @@ class NormalFormResult:
 
 def _radical_first_transform(inst):
     """m x m matrix whose columns are a radical-first coordinate basis."""
-    F = inst.field
-    m = inst.m
     rad = inst.radical()
-    cols = [rad.in_domain.basis.row(i) for i in range(rad.dim)]
-    eye = Matrix.identity(F, m)
-    for j in range(m):
-        if len(cols) == m:
-            break
-        trial = cols + [eye.row(j)]
-        if rank(Matrix(F, trial)) == len(trial):
-            cols = trial
-    return Matrix.from_columns(F, cols), rad.dim
+    cols = complete_to_ambient(inst.field, rad.in_domain.basis.data, inst.m)
+    return Matrix.from_columns(inst.field, cols), rad.dim
 
 
 def diagonalize(inst):
@@ -48,7 +39,7 @@ def diagonalize(inst):
         raise CharTwo("diagonalization requires characteristic != 2")
     m = inst.m
     T1, d = _radical_first_transform(inst)
-    work = inst.change_of_basis(T1) if m else inst
+    work = inst.change_of_basis(T1)
     # Coordinate columns of the evolving basis, radical part fixed.
     eye = Matrix.identity(F, m)
     cols = [list(eye.row(j)) for j in range(m)]
@@ -80,8 +71,7 @@ def diagonalize(inst):
             f = F.div(b(cols[k], cols[l]), pk)
             cols[l] = [F.sub(x, F.mul(f, y))
                        for x, y in zip(cols[l], cols[k])]
-    T2 = Matrix.from_columns(F, cols) if m else Matrix.identity(F, 0)
-    T = T1.mul(T2) if m else Matrix.identity(F, 0)
+    T = T1.mul(Matrix.from_columns(F, cols))
     return NormalFormResult(T, inst.change_of_basis(T), DIAGONAL)
 
 
@@ -95,7 +85,7 @@ def char2_normal_form(inst):
             "form does not vanish on the radical")
     m = inst.m
     T1, d = _radical_first_transform(inst)
-    work = inst.change_of_basis(T1) if m else inst
+    work = inst.change_of_basis(T1)
     b = work.eval_b
     eye = Matrix.identity(F, m)
     remaining = [list(eye.row(j)) for j in range(d, m)]
@@ -120,7 +110,6 @@ def char2_normal_form(inst):
         us.append(u)
         vs.append(v)
     cols = [list(eye.row(j)) for j in range(d)] + us + vs[::-1]
-    T2 = Matrix.from_columns(F, cols) if m else Matrix.identity(F, 0)
-    T = T1.mul(T2) if m else Matrix.identity(F, 0)
+    T = T1.mul(Matrix.from_columns(F, cols))
     return NormalFormResult(T, inst.change_of_basis(T),
                             MINOR_DIAGONAL_CHAR2)

@@ -8,7 +8,8 @@ values.
 """
 
 from .errors import LengthMismatch, NotInSubspace, Singular
-from .linalg import Matrix, Subspace, invert_matrix, kernel, solve
+from .linalg import Matrix, Subspace, combine, kernel, rank, rref
+
 
 class QuadraticForm:
     """Coefficient table of a quadratic form on an m-dimensional domain."""
@@ -61,9 +62,14 @@ class MetricSpace:
 
     The form coefficients refer to s_basis, an ordered basis of S that need
     not coincide with the canonical RREF basis stored in the subspace.
+
+    An instance is immutable: its radical and its coordinate solver are
+    each computed once, on first use, so mutating s_basis or form after
+    construction is unsupported.
     """
 
-    __slots__ = ("field", "n", "subspace", "s_basis", "form")
+    __slots__ = ("field", "n", "subspace", "s_basis", "form", "_solver",
+                 "_radical")
 
     def __init__(self, field, n, s_basis, form, subspace=None):
         self.field = field
@@ -83,6 +89,8 @@ class MetricSpace:
         if form.field != field:
             raise LengthMismatch("form defined over a different field")
         self.form = form
+        self._solver = None
+        self._radical = None
 
     @property
     def m(self):
@@ -91,28 +99,32 @@ class MetricSpace:
     def coords_of(self, vec):
         """Coordinates of an ambient vector over s_basis; NotInSubspace if
         the vector lies outside S."""
-        if len(vec) != self.n:
+        return self.coords_matrix([vec]).column(0)
+
+    def coords_matrix(self, vectors):
+        """m x k matrix whose j-th column holds the s_basis coordinates of
+        vectors[j]; NotInSubspace if one of them lies outside S.
+
+        With T from one rref of the s_basis columns, T * v holds v's
+        coordinates in its first m rows and zeros below exactly when v lies
+        in S.
+        """
+        F, m, n = self.field, self.m, self.n
+        if any(len(v) != n for v in vectors):
             raise LengthMismatch("vector length != n")
-        if self.m == 0:
-            if all(self.field.is_zero(self.field.scalar(x)) for x in vec):
-                return ()
-            raise NotInSubspace("vector outside the zero subspace")
-        cols = Matrix(self.field, self.s_basis).transpose()
-        sol = solve(cols, tuple(self.field.scalar(x) for x in vec))
-        if sol is None:
+        if self._solver is None:
+            self._solver = rref(Matrix(F, self.s_basis, cols=n).transpose())[1]
+        C = self._solver.mul(Matrix(F, vectors, cols=n).transpose())
+        if not all(F.is_zero(x) for row in C.data[m:] for x in row):
             raise NotInSubspace("vector outside S")
-        return sol[0]
+        return C.submatrix(range(m), range(len(vectors)))
 
     def from_coords(self, coords):
         """Ambient vector with the given s_basis coordinates."""
         if len(coords) != self.m:
             raise LengthMismatch("coordinate length != m")
         F = self.field
-        out = [F.zero] * self.n
-        for c, b in zip(coords, self.s_basis):
-            c = F.scalar(c)
-            out = [F.add(o, F.mul(c, x)) for o, x in zip(out, b)]
-        return tuple(out)
+        return combine(F, [F.scalar(c) for c in coords], self.s_basis, self.n)
 
     def eval_q(self, coords):
         """Value of the form at the given s_basis coordinates."""
@@ -151,11 +163,12 @@ class MetricSpace:
 
     def radical(self):
         """Radical of the polar form, in ambient and in s_basis coordinates."""
-        in_domain = kernel(self.polar_gram())
-        rows = [self.from_coords(in_domain.basis.row(i))
-                for i in range(in_domain.dim)]
-        ambient = Subspace.from_rows(self.field, self.n, rows)
-        return Radical(ambient, in_domain)
+        if self._radical is None:
+            in_domain = kernel(self.polar_gram())
+            rows = [self.from_coords(r) for r in in_domain.basis.data]
+            ambient = Subspace.from_rows(self.field, self.n, rows)
+            self._radical = Radical(ambient, in_domain)
+        return self._radical
 
     def radical_condition_holds(self):
         """Whether the form vanishes on the nonzero radical vectors.
@@ -173,20 +186,22 @@ class MetricSpace:
         return True
 
     def change_of_basis(self, T):
-        """Re-express the form on the basis b'_j = sum_i T[i][j] b_i."""
-        F = self.field
-        if T.rows != self.m or T.cols != self.m:
+        """Re-express the form on the basis b'_j = sum_i T[i][j] b_i.
+
+        The new polar coefficients are the entries of T^t G T, and the new
+        diagonal values are Q at the columns of T.
+        """
+        F, m = self.field, self.m
+        if T.rows != m or T.cols != m:
             raise LengthMismatch("change of basis must be m x m")
-        try:
-            invert_matrix(T)
-        except Singular:
+        if rank(T) != m:
             raise Singular("change of basis matrix is singular")
-        new_basis = [self.from_coords(T.column(j)) for j in range(self.m)]
-        diag = [self.eval_q(T.column(j)) for j in range(self.m)]
-        upper = {}
-        for i in range(self.m):
-            for j in range(i + 1, self.m):
-                upper[(i, j)] = self.eval_b(T.column(i), T.column(j))
+        Tt = T.transpose()
+        gram = Tt.mul(self.polar_gram()).mul(T)
+        new_basis = Tt.mul(Matrix(F, self.s_basis, cols=self.n)).data
+        diag = [self.eval_q(T.column(j)) for j in range(m)]
+        upper = {(i, j): gram[i, j]
+                 for i in range(m) for j in range(i + 1, m)}
         return MetricSpace(F, self.n, new_basis,
                            QuadraticForm(F, diag, upper),
                            subspace=self.subspace)

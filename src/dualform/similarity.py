@@ -6,10 +6,11 @@ transpose acts on dual coordinate rows; with the standard pairing this is
 the plain matrix transpose.
 """
 
-from .dual import adapted_basis, dualize, linked_forms
-from .errors import (IsotropicVector, RadicalConditionViolated, Singular,
-                     ZeroRatio, NotInSubspace)
-from .linalg import Matrix, dot, invert_matrix, vec_scale, vec_sub
+from .dual import dualize, linked_forms
+from .errors import (IsotropicVector, NotInSubspace, RadicalConditionViolated,
+                     ZeroRatio)
+from .linalg import Matrix, invert_matrix, vec_scale, vec_sub
+from .quadform import QuadraticForm
 
 
 class LinearMap:
@@ -43,10 +44,6 @@ def transpose_map(psi):
     return LinearMap(psi.matrix.transpose())
 
 
-def _is_zero_form(inst):
-    return inst.form.is_zero()
-
-
 def verify_similarity(inst, psi, c):
     """Whether psi extends a similarity of ratio c of (S, Q).
 
@@ -58,24 +55,16 @@ def verify_similarity(inst, psi, c):
     c = F.scalar(c)
     if F.is_zero(c):
         raise ZeroRatio("similarity ratio must be nonzero")
-    if _is_zero_form(inst) and c != F.one:
+    if inst.form.is_zero() and c != F.one:
         return False
-    images = []
-    for b in inst.s_basis:
-        try:
-            images.append(inst.coords_of(psi.apply(b)))
-        except NotInSubspace:
-            return False
-    m = inst.m
-    unit = lambda j: tuple(F.one if k == j else F.zero for k in range(m))
-    for i in range(m):
-        if inst.eval_q(images[i]) != F.mul(c, inst.form.diag[i]):
-            return False
-        for j in range(i + 1, m):
-            if inst.eval_b(images[i], images[j]) != \
-                    F.mul(c, inst.eval_b(unit(i), unit(j))):
-                return False
-    return True
+    try:
+        images = inst.coords_matrix([psi.apply(b) for b in inst.s_basis])
+    except NotInSubspace:
+        return False
+    form = inst.form
+    scaled = QuadraticForm(F, [F.mul(c, x) for x in form.diag],
+                           {k: F.mul(c, v) for k, v in form.upper.items()})
+    return inst.change_of_basis(images).form == scaled
 
 
 class SimilarityReport:
@@ -142,7 +131,5 @@ def reflection(inst, s):
         cols.append(vec_sub(F, e_j,
                             vec_scale(F, F.mul(inv_qs, f_star[j]), s)))
     psi_ext = LinearMap(Matrix.from_columns(F, cols))
-    phi_cols = [inst.coords_of(psi_ext.apply(b)) for b in inst.s_basis]
-    phi_s = Matrix.from_columns(F, phi_cols) if inst.m else \
-        Matrix.identity(F, 0)
+    phi_s = inst.coords_matrix([psi_ext.apply(b) for b in inst.s_basis])
     return phi_s, psi_ext, f_star

@@ -202,6 +202,33 @@ class TestErrorPaths:
         assert code == 1
 
 
+def _paper5_doc(**changes):
+    with open(fx("paper5.json")) as fh:
+        doc = json.load(fh)
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["radical"], _paper5_doc(field={"kind": "prime", "p": "7"})),
+    (["radical"], _paper5_doc(field={"kind": 5})),
+    (["radical"], _paper5_doc(Q={"diag": ["0", "1/2", "3/2"], "upper": 5})),
+    (["adjugate"], [[1, 2], [3, 4]]),
+    (["dualize", "--half-gram"], [[1, 2], [3, 4]]),
+    (["adjugate"], {"field": "rational", "M": [1, 2]}),
+    (["radical"], {"field": "rational", "n": True, "S": [["1"]],
+                   "Q": {"diag": ["1"]}}),
+], ids=["p-string", "kind-int", "upper-int", "adjugate-list",
+        "half-gram-list", "M-flat", "n-bool"])
+def test_malformed_input_is_an_error_line(capsys, tmp_path, argv, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestDeterminism:
     def test_byte_identical_runs(self, capsys):
         outs = []

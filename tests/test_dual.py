@@ -1,4 +1,6 @@
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,8 @@ from dualform import (Matrix, MetricSpace, NotInSHat, NotInSubspace,
                       QuadraticForm, RadicalConditionViolated, Subspace,
                       adapted_basis, b_linked, converse_relation_check,
                       double_dual_check, dualize, linked_coset, linked_forms)
+from dualform import linalg
+from dualform.cli import parse_problem
 from dualform.linalg import dot, vec_add, vec_scale
 from helpers import (ALL_FIELDS, F2, F3, F5, FQ, hyperbolic_gf2, paper5,
                      rad_char2, random_instance_with_condition, random_scalar,
@@ -286,3 +290,32 @@ class TestConverseRelation:
                         random_vector(rng, inst.field, inst.m))
                 pairs.append((f_star, x))
             assert converse_relation_check(inst, pairs) is True
+
+
+@pytest.mark.parametrize("fixture, first, again", [("paper5.json", 9, 6),
+                                                  ("hyp_gf2.json", 6, 5)])
+def test_dualize_elimination_count(monkeypatch, fixture, first, again):
+    """Guard against redundant eliminations: rref is rebound in every
+    dualform module that imported it by name, so calls from any module
+    are counted.  A second dualize reuses the memoized radical."""
+    path = os.path.join(os.path.dirname(__file__), "fixtures", fixture)
+    with open(path) as fh:
+        inst = parse_problem(fh.read())
+    raw = linalg.rref
+    calls = []
+
+    def counting(M):
+        calls.append((M.rows, M.cols))
+        return raw(M)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "dualform":
+            for attr, value in list(vars(mod).items()):
+                if value is raw:
+                    monkeypatch.setattr(mod, attr, counting)
+    dualize(inst)
+    assert len(calls) == first, calls
+    assert inst.radical() is inst.radical()
+    del calls[:]
+    dualize(inst)
+    assert len(calls) == again, calls

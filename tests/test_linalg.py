@@ -6,7 +6,8 @@ import pytest
 from dualform import (Matrix, NotNested, Singular, Subspace, adjugate,
                       annihilator, det, extend_basis, invert_matrix, kernel,
                       make_field, rank, rref, solve)
-from helpers import FQ, F2, random_subspace_basis, random_vector
+from dualform.linalg import _complete_basis, complete_to_ambient
+from helpers import FQ, F2, F3, random_subspace_basis, random_vector
 
 
 def mat(F, rows):
@@ -210,3 +211,51 @@ def test_det_bareiss_matches_gf():
         dp = det(Matrix(F7, rows))
         assert dq.denominator == 1
         assert dq.numerator % 7 == dp
+
+
+def _greedy_completion(F, prefix, candidates):
+    """Reference: keep each candidate that raises the rank, one rank
+    computation per candidate."""
+    chosen = [tuple(F.scalar(x) for x in row) for row in prefix]
+    for cand in candidates:
+        trial = chosen + [tuple(F.scalar(x) for x in cand)]
+        if rank(Matrix(F, trial)) == len(trial):
+            chosen = trial
+    return chosen
+
+
+@pytest.mark.parametrize("F", [FQ, F2, F3], ids=repr)
+def test_one_rref_completion_matches_greedy(F):
+    rng = random.Random(F.characteristic() + 71)
+    for trial in range(40):
+        n = rng.randint(1, 6)
+        m = 0 if trial == 0 else rng.randint(0, n)
+        prefix = random_subspace_basis(rng, F, n, m)
+        assert complete_to_ambient(F, prefix, n) == \
+            _greedy_completion(F, prefix, Matrix.identity(F, n).data)
+        # Candidates with repeats, zero rows and combinations of the prefix.
+        pool = prefix + [random_vector(rng, F, n) for _ in range(2)]
+        cands = [rng.choice(pool) if pool and rng.random() < 0.5
+                 else random_vector(rng, F, n) for _ in range(n + 2)]
+        cands.append((F.zero,) * n)
+        outer = Subspace.from_rows(F, n, prefix + cands)
+        inner = Subspace.from_rows(F, n, prefix)
+        assert extend_basis(inner, outer) == _greedy_completion(
+            F, inner.basis.data, outer.basis.data)
+        assert _complete_basis(F, prefix, cands) == \
+            _greedy_completion(F, prefix, cands)
+
+
+@pytest.mark.parametrize("F", [FQ, F2, F3], ids=repr)
+def test_pivot_coordinates_match_solve(F):
+    rng = random.Random(F.characteristic() + 83)
+    for trial in range(40):
+        n = rng.randint(1, 6)
+        m = 0 if trial == 0 else rng.randint(0, n)
+        T = Subspace.from_rows(F, n, random_subspace_basis(rng, F, n, m))
+        inside = T.basis.transpose().mul_vec(random_vector(rng, F, T.dim))
+        for vec in (inside, random_vector(rng, F, n)):
+            sol = solve(T.basis.transpose(), vec)
+            expected = None if sol is None else sol[0]
+            assert T.coordinates(vec) == expected
+        assert T.coordinates(inside) is not None

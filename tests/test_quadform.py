@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from dualform import (LengthMismatch, Matrix, MetricSpace, QuadraticForm,
-                      Singular, Subspace)
-from helpers import (ALL_FIELDS, F2, FQ, hyperbolic_gf2, paper5, rad_char2,
-                     random_instance, random_scalar, random_vector)
+from dualform import (LengthMismatch, Matrix, MetricSpace, NotInSubspace,
+                      QuadraticForm, Singular, Subspace, rank, solve)
+from helpers import (ALL_FIELDS, F2, F3, FQ, hyperbolic_gf2, paper5,
+                     rad_char2, random_instance, random_scalar, random_vector)
 
 
 class TestEvalQ:
@@ -190,3 +190,46 @@ def test_empty_form_is_legal():
         assert inst.m == 0
         assert inst.radical().dim == 0
         assert inst.radical_condition_holds()
+
+
+def _random_invertible(rng, F, m):
+    while True:
+        T = Matrix(F, [list(random_vector(rng, F, m)) for _ in range(m)],
+                   cols=m)
+        if rank(T) == m:
+            return T
+
+
+@pytest.mark.parametrize("F", [FQ, F2, F3], ids=repr)
+def test_change_of_basis_matches_pairwise_polar_table(F):
+    rng = random.Random(F.characteristic() + 97)
+    empty = MetricSpace(F, 3, [], QuadraticForm(F, [], {}))
+    for inst in [empty] + [random_instance(rng, F) for _ in range(40)]:
+        m = inst.m
+        T = _random_invertible(rng, F, m)
+        out = inst.change_of_basis(T)
+        cols = [T.column(j) for j in range(m)]
+        assert out.form.diag == tuple(inst.eval_q(c) for c in cols)
+        for i in range(m):
+            for j in range(i + 1, m):
+                assert out.form.coefficient(i, j) == \
+                    inst.eval_b(cols[i], cols[j])
+        assert list(out.s_basis) == [inst.from_coords(c) for c in cols]
+
+
+@pytest.mark.parametrize("F", [FQ, F2, F3], ids=repr)
+def test_cached_coords_of_matches_solve(F):
+    rng = random.Random(F.characteristic() + 101)
+    empty = MetricSpace(F, 3, [], QuadraticForm(F, [], {}))
+    for inst in [empty] + [random_instance(rng, F) for _ in range(40)]:
+        cols = Matrix(F, inst.s_basis, cols=inst.n).transpose()
+        inside = inst.from_coords(random_vector(rng, F, inst.m))
+        for vec in (inside, random_vector(rng, F, inst.n)):
+            sol = solve(cols, vec)
+            if sol is None:
+                with pytest.raises(NotInSubspace):
+                    inst.coords_of(vec)
+            else:
+                assert inst.coords_of(vec) == sol[0]
+        assert inst.coords_matrix([inside, inside]).column(1) == \
+            inst.coords_of(inside)
