@@ -343,7 +343,8 @@ def main(argv=None):
     except RadicalConditionViolated as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, ValidationError, AlgebraError, OSError) as exc:
+    except (ParseError, ValidationError, AlgebraError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,8 +12,8 @@ coset chasing via linked_coset(), kept separate so tests can cross-validate.
 """
 
 from .errors import LengthMismatch, NotInSHat, RadicalConditionViolated
-from .linalg import (Matrix, annihilator, complete_to_ambient, dot,
-                     extend_basis, invert_matrix, solve, vec_add)
+from .linalg import (Matrix, annihilator, combine, complete_to_ambient, dot,
+                     extend_basis, invert_matrix, solve, vec_add, vec_scale)
 from .quadform import MetricSpace, QuadraticForm
 
 
@@ -54,8 +54,8 @@ class LinkedCoset:
         F = self.radical.field
         out = self.representative
         for c, i in zip(coeffs, range(self.radical.dim)):
-            out = vec_add(F, out, tuple(F.mul(F.scalar(c), x)
-                                        for x in self.radical.basis.row(i)))
+            out = vec_add(F, out, vec_scale(F, F.scalar(c),
+                                            self.radical.basis.row(i)))
         return out
 
 
@@ -131,13 +131,9 @@ def linked_forms(inst, s):
     F = inst.field
     coords = inst.coords_of(s)
     ab = adapted_basis(inst)
-    rep = [F.zero] * inst.n
-    for j in range(inst.m):
-        val = inst.eval_b(coords, ab.coords.column(j))
-        if not F.is_zero(val):
-            row = ab.dual_row(j)
-            rep = [F.add(r, F.mul(val, x)) for r, x in zip(rep, row)]
-    return LinkedCoset(tuple(rep), annihilator(inst.subspace))
+    vals = [inst.eval_b(coords, ab.coords.column(j)) for j in range(inst.m)]
+    rep = combine(F, vals, ab.a_inv.data, inst.n)
+    return LinkedCoset(rep, annihilator(inst.subspace))
 
 
 def dualize(inst):

@@ -2,16 +2,29 @@
 
 Scalars are plain Python values: ``fractions.Fraction`` for the rationals and
 ``int`` residues in ``[0, p)`` for GF(p).  Both representations are canonical,
-so structural equality of scalars is sound.  A field object mediates all
-arithmetic and owns the parsing/formatting of the textual scalar encoding
-("num/den" or "num" for rationals, decimal residues for GF(p)).
+so structural equality of scalars is sound, and a scalar is zero exactly when
+it is falsy.  The Field methods are the scalar API and own the parsing and
+formatting of the textual encoding ("num/den" or "num" for rationals, decimal
+residues for GF(p)).  The matrix and form kernels in ``linalg`` and
+``quadform`` bypass them: they run native ``int``/``Fraction`` operators and,
+over GF(p), reduce modulo ``characteristic()`` once per computed entry.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import CharTwo, DivisionByZero, NotPrime, ValidationError
 
 PRIME_BOUND = 2**31
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RESIDUE = re.compile(r"-?[0-9]+")
+
+
+def _match(grammar, text):
+    text = text.strip()
+    if not grammar.fullmatch(text):
+        raise ValueError(f"{text!r} does not match {grammar.pattern}")
+    return text
 
 
 def _is_prime(p):
@@ -28,18 +41,11 @@ def _is_prime(p):
 
 
 class Field:
-    """Common interface; concrete fields are RationalField and PrimeField."""
+    """Common interface; concrete fields are RationalField and PrimeField,
+    which hold their canonical constants ``zero`` and ``one``."""
 
     def characteristic(self):
         raise NotImplementedError
-
-    @property
-    def zero(self):
-        return self.scalar(0)
-
-    @property
-    def one(self):
-        return self.scalar(1)
 
     def neg(self, a):
         return self.sub(self.zero, a)
@@ -63,10 +69,14 @@ class Field:
 
 
 class RationalField(Field):
+    zero, one = Fraction(0), Fraction(1)
+
     def characteristic(self):
         return 0
 
     def scalar(self, x):
+        if type(x) is Fraction:
+            return x
         if isinstance(x, str):
             return self.parse(x)
         return Fraction(x)
@@ -86,7 +96,7 @@ class RationalField(Field):
         return 1 / Fraction(a)
 
     def parse(self, text):
-        return Fraction(text.strip())
+        return Fraction(_match(_RATIONAL, text))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -99,6 +109,8 @@ class RationalField(Field):
 
 
 class PrimeField(Field):
+    zero, one = 0, 1
+
     def __init__(self, p):
         if not (2 <= p < PRIME_BOUND):
             raise NotPrime(f"p = {p} out of range [2, 2^31)")
@@ -110,6 +122,8 @@ class PrimeField(Field):
         return self.p
 
     def scalar(self, x):
+        if type(x) is int:
+            return x % self.p
         if isinstance(x, str):
             return self.parse(x)
         if isinstance(x, Fraction):
@@ -135,7 +149,7 @@ class PrimeField(Field):
         return pow(a, self.p - 2, self.p)
 
     def parse(self, text):
-        return int(text.strip(), 10) % self.p
+        return int(_match(_RESIDUE, text)) % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

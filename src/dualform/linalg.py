@@ -7,13 +7,30 @@ basis; the pairing is <a*, x> = sum_i a_i x_i.  Subspace bases are always kept
 in canonical reduced row-echelon form, so subspace equality is structural.
 """
 
+import operator
 from fractions import Fraction
 from math import gcd
 
 from .errors import LengthMismatch, NotNested, Singular
 
 
+def _canon(p, xs):
+    """The entries of xs as a tuple, reduced into [0, p) over GF(p); over
+    the rationals (p = 0) Fraction arithmetic keeps them canonical."""
+    return tuple([x % p for x in xs]) if p else tuple(xs)
+
+
 class Matrix:
+    """Dense matrix over a Field; rows are tuples of canonical scalars.
+
+    ``Matrix(field, data)`` is the public constructor: it coerces every entry
+    through ``field.scalar`` and rejects ragged rows.  ``Matrix._trusted``
+    is the internal one and checks nothing: its caller guarantees rows of
+    length ``cols`` whose entries are already canonical (``Fraction`` over
+    the rationals, ``int`` in [0, p) over GF(p)), as every result computed
+    here from canonical operands is.
+    """
+
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field, data, cols=None):
@@ -29,15 +46,23 @@ class Matrix:
                 raise LengthMismatch("ragged matrix rows")
 
     @classmethod
+    def _trusted(cls, field, rows, cols):
+        self = object.__new__(cls)
+        self.field = field
+        self.data = tuple(map(tuple, rows))
+        self.rows = len(self.data)
+        self.cols = cols
+        return self
+
+    @classmethod
     def identity(cls, field, n):
         one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)]
-                           for i in range(n)])
+        return cls._trusted(field, [[one if i == j else zero for j in range(n)]
+                                    for i in range(n)], n)
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        zero = field.zero
-        return cls(field, [[zero] * cols for _ in range(rows)], cols=cols)
+        return cls._trusted(field, [[field.zero] * cols] * rows, cols)
 
     @classmethod
     def from_columns(cls, field, columns):
@@ -54,49 +79,40 @@ class Matrix:
         return tuple(row[j] for row in self.data)
 
     def transpose(self):
-        return Matrix(self.field,
-                      [self.column(j) for j in range(self.cols)],
-                      cols=self.rows)
+        cols = zip(*self.data) if self.data else [()] * self.cols
+        return Matrix._trusted(self.field, cols, self.rows)
 
     def submatrix(self, row_idx, col_idx):
-        return Matrix(self.field,
-                      [[self.data[i][j] for j in col_idx] for i in row_idx],
-                      cols=len(col_idx))
+        return Matrix._trusted(self.field,
+                               [[self.data[i][j] for j in col_idx]
+                                for i in row_idx], len(col_idx))
 
     def mul(self, other):
         if self.cols != other.rows:
             raise LengthMismatch("matrix product shape mismatch")
         F = self.field
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = F.zero
-                for k in range(self.cols):
-                    acc = F.add(acc, F.mul(self.data[i][k], other.data[k][j]))
-                row.append(acc)
-            out.append(row)
-        return Matrix(F, out)
+        p, zero = F.characteristic(), F.zero
+        cols = other.transpose().data
+        return Matrix._trusted(F, [
+            _canon(p, [sum(map(operator.mul, row, col), zero) for col in cols])
+            for row in self.data], other.cols)
 
     def mul_vec(self, v):
         if len(v) != self.cols:
             raise LengthMismatch("matrix-vector shape mismatch")
         F = self.field
-        out = []
-        for i in range(self.rows):
-            acc = F.zero
-            for k in range(self.cols):
-                acc = F.add(acc, F.mul(self.data[i][k], v[k]))
-            out.append(acc)
-        return tuple(out)
+        return _canon(F.characteristic(),
+                      [sum(map(operator.mul, row, v), F.zero)
+                       for row in self.data])
 
     def scale(self, c):
         F = self.field
-        return Matrix(F, [[F.mul(c, x) for x in row] for row in self.data])
+        p = F.characteristic()
+        return Matrix._trusted(F, [_canon(p, [c * x for x in row])
+                                   for row in self.data], self.cols)
 
     def is_zero(self):
-        zero = self.field.zero
-        return all(x == zero for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -112,65 +128,70 @@ class Matrix:
 def dot(F, a, x):
     if len(a) != len(x):
         raise LengthMismatch("pairing length mismatch")
-    acc = F.zero
-    for u, v in zip(a, x):
-        acc = F.add(acc, F.mul(u, v))
-    return acc
+    p = F.characteristic()
+    s = sum(map(operator.mul, a, x), F.zero)
+    return s % p if p else s
 
 
 def vec_add(F, x, y):
-    return tuple(F.add(u, v) for u, v in zip(x, y))
+    return _canon(F.characteristic(), [u + v for u, v in zip(x, y)])
 
 def vec_sub(F, x, y):
-    return tuple(F.sub(u, v) for u, v in zip(x, y))
+    return _canon(F.characteristic(), [u - v for u, v in zip(x, y)])
 
 def vec_scale(F, c, x):
-    return tuple(F.mul(c, u) for u in x)
+    return _canon(F.characteristic(), [c * u for u in x])
 
 
 def combine(F, coeffs, rows, n):
     """sum_i coeffs[i] * rows[i] in F^n."""
     out = [F.zero] * n
     for c, row in zip(coeffs, rows):
-        if not F.is_zero(c):
-            out = [F.add(o, F.mul(c, x)) for o, x in zip(out, row)]
-    return tuple(out)
+        if c:
+            out = [o + c * x for o, x in zip(out, row)]
+    return _canon(F.characteristic(), out)
 
 
 def rref(M):
     """Reduced row echelon form.
 
     Returns (R, T, pivots) with R = T * M, T invertible and pivots the list
-    of pivot column indices in order.
+    of pivot column indices in order.  The pivot of each column is its first
+    nonzero entry at or below the current row.  Each working row holds a row
+    of M followed by the same row of T.  A row operation for pivot column c
+    starts at column c and leaves an entry alone where the pivot row is
+    zero: the pivot row is zero before column c.
     """
     F = M.field
-    a = [list(row) for row in M.data]
-    t = [list(row) for row in Matrix.identity(F, M.rows).data]
+    p, zero, one = F.characteristic(), F.zero, F.one
+    n = M.rows
+    a = [list(row) + [one if i == j else zero for j in range(n)]
+         for i, row in enumerate(M.data)]
     pivots = []
     r = 0
     for c in range(M.cols):
-        pr = None
-        for i in range(r, M.rows):
-            if not F.is_zero(a[i][c]):
-                pr = i
-                break
+        pr = next((i for i in range(r, n) if a[i][c]), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        t[r], t[pr] = t[pr], t[r]
         inv = F.inv(a[r][c])
-        a[r] = [F.mul(inv, x) for x in a[r]]
-        t[r] = [F.mul(inv, x) for x in t[r]]
-        for i in range(M.rows):
-            if i != r and not F.is_zero(a[i][c]):
-                f = a[i][c]
-                a[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(a[i], a[r])]
-                t[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(t[i], t[r])]
+        a[r][c:] = pivot = _canon(p, [inv * x for x in a[r][c:]])
+        for i in range(n):
+            f = a[i][c]
+            if i == r or not f:
+                continue
+            pairs = zip(a[i][c:], pivot)
+            if p:
+                a[i][c:] = [(x - f * y) % p if y else x for x, y in pairs]
+            else:
+                a[i][c:] = [x - f * y if y else x for x, y in pairs]
         pivots.append(c)
         r += 1
-        if r == M.rows:
+        if r == n:
             break
-    return Matrix(F, a, cols=M.cols), Matrix(F, t, cols=M.rows), pivots
+    k = M.cols
+    return (Matrix._trusted(F, [row[:k] for row in a], k),
+            Matrix._trusted(F, [row[k:] for row in a], n), pivots)
 
 
 def rank(M):
@@ -292,8 +313,7 @@ class Subspace:
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = basis  # Matrix, rows in canonical RREF, full row rank
-        zero = field.zero
-        self.pivots = [next(j for j, x in enumerate(row) if x != zero)
+        self.pivots = [next(j for j, x in enumerate(row) if x)
                        for row in basis.data]
 
     @classmethod
@@ -303,12 +323,11 @@ class Subspace:
             if M.cols != ambient_dim:
                 raise LengthMismatch("row length != ambient dimension")
             R, _, pivots = rref(M)
-            kept = [R.row(i) for i in range(len(pivots))]
+            kept = R.data[:len(pivots)]
         else:
-            kept = []
-        basis = Matrix(field, kept) if kept else Matrix.zeros(field, 0,
-                                                              ambient_dim)
-        return cls(field, ambient_dim, basis)
+            kept = ()
+        return cls(field, ambient_dim,
+                   Matrix._trusted(field, kept, ambient_dim))
 
     @classmethod
     def zero(cls, field, ambient_dim):
@@ -366,9 +385,9 @@ def _null_space(F, R, pivots, cols):
     for f in free:
         v = [F.zero] * cols
         v[f] = F.one
-        for r, p in enumerate(pivots):
-            v[p] = F.neg(R[r, f])
-        rows.append(v)
+        for r, c in enumerate(pivots):
+            v[c] = -R[r, f]
+        rows.append(_canon(F.characteristic(), v))
     return Subspace.from_rows(F, cols, rows)
 
 
@@ -385,7 +404,7 @@ def solve(M, b):
         raise LengthMismatch("rhs length != number of rows")
     R, T, pivots = rref(M)
     c = T.mul_vec(b)
-    if not all(F.is_zero(x) for x in c[len(pivots):]):
+    if any(c[len(pivots):]):
         return None
     x = [F.zero] * M.cols
     for r, p in enumerate(pivots):

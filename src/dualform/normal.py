@@ -10,7 +10,8 @@ basis vectors span the radical.
 """
 
 from .errors import CharTwo, NotCharTwo, RadicalConditionViolated
-from .linalg import Matrix, complete_to_ambient, vec_add, vec_scale
+from .linalg import (Matrix, complete_to_ambient, vec_add, vec_scale,
+                     vec_sub)
 
 DIAGONAL = "diagonal"
 MINOR_DIAGONAL_CHAR2 = "minor-diagonal-char2"
@@ -69,8 +70,7 @@ def diagonalize(inst):
         pk = b(cols[k], cols[k])
         for l in range(k + 1, m):
             f = F.div(b(cols[k], cols[l]), pk)
-            cols[l] = [F.sub(x, F.mul(f, y))
-                       for x, y in zip(cols[l], cols[k])]
+            cols[l] = list(vec_sub(F, cols[l], vec_scale(F, f, cols[k])))
     T = T1.mul(Matrix.from_columns(F, cols))
     return NormalFormResult(T, inst.change_of_basis(T), DIAGONAL)
 

@@ -8,7 +8,8 @@ values.
 """
 
 from .errors import LengthMismatch, NotInSubspace, Singular
-from .linalg import Matrix, Subspace, combine, kernel, rank, rref
+from .linalg import (Matrix, Subspace, _canon, combine, kernel, rank, rref,
+                     vec_add)
 
 
 class QuadraticForm:
@@ -113,9 +114,10 @@ class MetricSpace:
         if any(len(v) != n for v in vectors):
             raise LengthMismatch("vector length != n")
         if self._solver is None:
-            self._solver = rref(Matrix(F, self.s_basis, cols=n).transpose())[1]
+            self._solver = rref(
+                Matrix._trusted(F, self.s_basis, n).transpose())[1]
         C = self._solver.mul(Matrix(F, vectors, cols=n).transpose())
-        if not all(F.is_zero(x) for row in C.data[m:] for x in row):
+        if any(map(any, C.data[m:])):
             raise NotInSubspace("vector outside S")
         return C.submatrix(range(m), range(len(vectors)))
 
@@ -131,21 +133,18 @@ class MetricSpace:
         F = self.field
         if len(coords) != self.m:
             raise LengthMismatch("coordinate length != m")
-        coords = [F.scalar(x) for x in coords]
-        acc = F.zero
-        for i, g in enumerate(self.form.diag):
-            acc = F.add(acc, F.mul(g, F.mul(coords[i], coords[i])))
-        for (i, j), g in self.form.upper.items():
-            acc = F.add(acc, F.mul(g, F.mul(coords[i], coords[j])))
-        return acc
+        c = [F.scalar(x) for x in coords]
+        acc = sum(g * c[i] * c[i] for i, g in enumerate(self.form.diag))
+        acc += sum(g * c[i] * c[j] for (i, j), g in self.form.upper.items())
+        return F.scalar(acc)
 
     def eval_b(self, x, y):
         """Polar form B(x, y) = Q(x + y) - Q(x) - Q(y) on coordinates."""
         F = self.field
-        s = tuple(F.add(F.scalar(u), F.scalar(v)) for u, v in zip(x, y))
+        s = vec_add(F, [F.scalar(u) for u in x], [F.scalar(v) for v in y])
         if len(s) != self.m:
             raise LengthMismatch("coordinate length != m")
-        return F.sub(F.sub(self.eval_q(s), self.eval_q(x)), self.eval_q(y))
+        return F.scalar(self.eval_q(s) - self.eval_q(x) - self.eval_q(y))
 
     def polar_gram(self):
         """Symmetric m x m matrix of B on s_basis; alternating in
@@ -154,12 +153,13 @@ class MetricSpace:
         m = self.m
         g = [[F.zero] * m for _ in range(m)]
         two = F.add(F.one, F.one)
+        two_q = _canon(F.characteristic(), [two * x for x in self.form.diag])
         for i in range(m):
-            g[i][i] = F.mul(two, self.form.diag[i])
+            g[i][i] = two_q[i]
         for (i, j), v in self.form.upper.items():
             g[i][j] = v
             g[j][i] = v
-        return Matrix(F, g, cols=m)
+        return Matrix._trusted(F, g, m)
 
     def radical(self):
         """Radical of the polar form, in ambient and in s_basis coordinates."""
@@ -198,7 +198,7 @@ class MetricSpace:
             raise Singular("change of basis matrix is singular")
         Tt = T.transpose()
         gram = Tt.mul(self.polar_gram()).mul(T)
-        new_basis = Tt.mul(Matrix(F, self.s_basis, cols=self.n)).data
+        new_basis = Tt.mul(Matrix._trusted(F, self.s_basis, self.n)).data
         diag = [self.eval_q(T.column(j)) for j in range(m)]
         upper = {(i, j): gram[i, j]
                  for i in range(m) for j in range(i + 1, m)}

@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import sys
 
 import pytest
 
@@ -218,12 +220,36 @@ def _paper5_doc(**changes):
     (["adjugate"], {"field": "rational", "M": [1, 2]}),
     (["radical"], {"field": "rational", "n": True, "S": [["1"]],
                    "Q": {"diag": ["1"]}}),
+    (["dualize"], _paper5_doc(Q={"diag": ["0", "1e5000", "3/2"]})),
+    (["similarity", "--map", fx("reflection_map.json"), "--ratio", "1e5000"],
+     _paper5_doc()),
+    (["radical"], _paper5_doc(Q={"diag": ["0", "1.5", "3/2"]})),
+    (["linked-forms", "--vector=0,1e5,0,0,0"], _paper5_doc()),
+    (["radical"], _paper5_doc(field={"kind": "prime", "p": 7},
+                              Q={"diag": ["0", "1_0", "+3"]})),
 ], ids=["p-string", "kind-int", "upper-int", "adjugate-list",
-        "half-gram-list", "M-flat", "n-bool"])
+        "half-gram-list", "M-flat", "n-bool", "exponent-scalar",
+        "exponent-ratio", "decimal-scalar", "exponent-vector",
+        "residue-underscore"])
 def test_malformed_input_is_an_error_line(capsys, tmp_path, argv, doc):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["file", "stdin", "map"])
+def test_invalid_utf8_is_an_error_line(capsys, monkeypatch, tmp_path, source):
+    path = tmp_path / "input.json"
+    path.write_bytes(b'{"field": "rational\xff"}')
+    argv = {"file": ["radical", str(path)],
+            "stdin": ["radical", "-"],
+            "map": ["similarity", fx("paper5.json"), "--map", str(path)]}
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO(path.read_bytes()), encoding="utf-8"))
+    code, out, err = run_cli(capsys, *argv[source])
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err

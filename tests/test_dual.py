@@ -9,7 +9,7 @@ from dualform import (Matrix, MetricSpace, NotInSHat, NotInSubspace,
                       QuadraticForm, RadicalConditionViolated, Subspace,
                       adapted_basis, b_linked, converse_relation_check,
                       double_dual_check, dualize, linked_coset, linked_forms)
-from dualform import linalg
+from dualform import fields, linalg
 from dualform.cli import parse_problem
 from dualform.linalg import dot, vec_add, vec_scale
 from helpers import (ALL_FIELDS, F2, F3, F5, FQ, hyperbolic_gf2, paper5,
@@ -319,3 +319,29 @@ def test_dualize_elimination_count(monkeypatch, fixture, first, again):
     del calls[:]
     dualize(inst)
     assert len(calls) == again, calls
+
+
+@pytest.mark.parametrize("fixture", ["paper5.json", "hyp_gf2.json"])
+def test_dualize_makes_no_per_entry_field_calls(monkeypatch, fixture):
+    """Guard the native-operator kernels: Field add/sub/mul are wrapped on
+    every field class, as the traced benchmark does.  The only calls left
+    are the constant 2 = 1 + 1 of each of the three polar Gram matrices, so
+    a loop that slips back to per-entry Field calls fails."""
+    path = os.path.join(os.path.dirname(__file__), "fixtures", fixture)
+    with open(path) as fh:
+        inst = parse_problem(fh.read())
+    calls = []
+
+    def counting(raw):
+        def wrapper(*args):
+            calls.append(raw.__name__)
+            return raw(*args)
+        return wrapper
+
+    for cls in vars(fields).values():
+        if isinstance(cls, type) and issubclass(cls, fields.Field):
+            for meth in ("add", "sub", "mul"):
+                if meth in vars(cls):
+                    monkeypatch.setattr(cls, meth, counting(vars(cls)[meth]))
+    dualize(inst)
+    assert len(calls) <= 3, calls

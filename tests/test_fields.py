@@ -105,3 +105,21 @@ def test_scalar_text_round_trip():
     F7 = make_field("prime", 7)
     assert F7.parse("12") == 5
     assert F7.format(F7.parse("5")) == "5"
+
+
+@pytest.mark.parametrize("field, text", [
+    (make_field("rational"), "1e5"),
+    (make_field("rational"), "1.5"),
+    (make_field("rational"), "1/-2"),
+    (make_field("rational"), "+3"),
+    (make_field("rational"), "1_0"),
+    (make_field("rational"), "\u0663"),
+    (make_field("prime", 7), "3/2"),
+    (make_field("prime", 7), "1_0"),
+    (make_field("prime", 7), "+3"),
+    (make_field("prime", 7), ""),
+])
+def test_parse_enforces_the_wire_grammar(field, text):
+    with pytest.raises(ValueError):
+        field.parse(text)
+    assert field.parse(" -12 ") == field.scalar(-12)

@@ -1,0 +1,106 @@
+"""Cross-checks of the elimination and product kernels against sympy's
+DomainMatrix over QQ and GF(p), on seeded random matrices that include
+singular, rectangular and empty shapes."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from dualform import (Matrix, Singular, det, invert_matrix, make_field, rank,
+                      rref)
+
+sympy = pytest.importorskip("sympy")
+DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
+
+FIELDS = [make_field("rational"), make_field("prime", 2),
+          make_field("prime", 3), make_field("prime", 2**31 - 1)]
+
+
+def to_sympy(M):
+    p = M.field.characteristic()
+    K = sympy.QQ if p == 0 else sympy.GF(p)
+    conv = (lambda x: K(x.numerator, x.denominator)) if p == 0 else K
+    return DomainMatrix([[conv(x) for x in row] for row in M.data],
+                        (M.rows, M.cols), K)
+
+
+def scalar_from_sympy(F, x):
+    p = F.characteristic()
+    if p == 0:
+        return Fraction(int(x.numerator), int(x.denominator))
+    return int(x) % p
+
+
+def from_sympy(F, D):
+    return Matrix(F, [[scalar_from_sympy(F, x) for x in row]
+                      for row in D.to_list()], cols=D.shape[1])
+
+
+def random_matrix(rng, F, rows, cols):
+    """Sparse-ish random entries; with probability 1/2 some rows are
+    combinations of earlier rows, so the matrix is rank deficient."""
+    p = F.characteristic()
+
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        if p == 0:
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        return rng.randrange(p)
+
+    data = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and rng.random() < 0.5:
+        for i in rng.sample(range(1, rows), rng.randint(1, rows - 1)):
+            a, b = entry(), entry()
+            j = rng.randrange(i)
+            data[i] = [a * x + b * y for x, y in zip(data[j], data[i - 1])]
+    return Matrix(F, data, cols=cols)
+
+
+def shapes(rng, count):
+    fixed = [(0, 0), (0, 3), (3, 0), (1, 1), (4, 4), (3, 6), (6, 3)]
+    return fixed + [(rng.randint(0, 7), rng.randint(0, 7))
+                    for _ in range(count)]
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_rref_and_rank_match_sympy(F):
+    rng = random.Random(31 + F.characteristic())
+    for rows, cols in shapes(rng, 40):
+        M = random_matrix(rng, F, rows, cols)
+        R, T, pivots = rref(M)
+        R_ref, pivots_ref = to_sympy(M).rref()
+        assert R == from_sympy(F, R_ref)
+        assert tuple(pivots) == tuple(pivots_ref)
+        assert T.mul(M) == R
+        assert rank(T) == rows
+        assert rank(M) == to_sympy(M).rank()
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_det_and_inverse_match_sympy(F):
+    rng = random.Random(37 + F.characteristic())
+    singular = 0
+    for n in [0, 1, 1, 2, 2, 3] + [rng.randint(2, 7) for _ in range(40)]:
+        M = random_matrix(rng, F, n, n)
+        D = to_sympy(M)
+        d = det(M)
+        assert d == scalar_from_sympy(F, D.det())
+        if d:
+            assert invert_matrix(M) == from_sympy(F, D.inv())
+        else:
+            singular += 1
+            with pytest.raises(Singular):
+                invert_matrix(M)
+    assert singular > 0
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_mul_matches_sympy(F):
+    rng = random.Random(41 + F.characteristic())
+    for rows, inner in shapes(rng, 30):
+        cols = rng.randint(0, 6)
+        A = random_matrix(rng, F, rows, inner)
+        B = random_matrix(rng, F, inner, cols)
+        assert A.mul(B) == from_sympy(F, to_sympy(A).matmul(to_sympy(B)))
