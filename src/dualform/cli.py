@@ -19,6 +19,10 @@ from .normal import char2_normal_form, diagonalize
 from .quadform import MetricSpace, QuadraticForm
 from .similarity import LinearMap, theorem_psi_check
 
+# Largest n and adjugate size accepted: far above every tested size (n <= 32),
+# small enough that the n x n matrices a command builds fit in memory.
+MAX_DIM = 512
+
 
 def _load_json(text):
     try:
@@ -79,8 +83,9 @@ def parse_problem(text, field_override=None):
             raise ValidationError(f"missing top-level key {key!r}")
     field = field_override or _field_from_doc(doc["field"])
     n = doc["n"]
-    if not _is_int(n) or n < 0:
-        raise ValidationError("'n' must be a non-negative integer")
+    if not _is_int(n) or not 0 <= n <= MAX_DIM:
+        raise ValidationError(f"'n' must be an integer from 0 to the limit "
+                              f"{MAX_DIM}")
     rows = doc["S"]
     if not isinstance(rows, list):
         raise ValidationError("'S' must be a list of vectors")
@@ -255,6 +260,8 @@ def _cmd_adjugate(doc, args, field):
     if "M" not in doc:
         raise ValidationError("adjugate input needs key 'M'")
     rows = doc["M"]
+    if isinstance(rows, list) and len(rows) > MAX_DIM:
+        raise ValidationError(f"M: {len(rows)} rows, over the limit {MAX_DIM}")
     if not isinstance(rows, list) or any(
             not isinstance(r, list) or len(r) != len(rows) for r in rows):
         raise ValidationError("M must be a square matrix")

@@ -87,7 +87,7 @@ def adapted_basis(inst):
     else:
         s_vectors = extend_basis(rad.subspace, inst.subspace)
         coords = inst.coords_matrix(s_vectors)
-    a = Matrix.from_columns(F, complete_to_ambient(F, s_vectors, n))
+    a = Matrix._trusted(F, zip(*complete_to_ambient(F, s_vectors, n)), n)
     return AdaptedBasis(a, invert_matrix(a), coords, d, m, n)
 
 
@@ -154,14 +154,15 @@ def dualize(inst):
     inst_ad = inst.change_of_basis(ab.coords)
     g22 = inst_ad.polar_gram().submatrix(ab.i2, ab.i2)
     g22_hat = invert_matrix(g22)
-    diag = [inst_ad.eval_q([F.zero] * d + list(g22_hat.row(i)))
-            for i in range(t)] + [F.zero] * (n - m)
+    a22 = inst_ad.form.matrix().submatrix(ab.i2, ab.i2)
+    values = g22_hat.mul(a22).mul(g22_hat.transpose())
+    diag = [values[i, i] for i in range(t)] + [F.zero] * (n - m)
     upper = {(i, j): g22_hat[i, j] for i in range(t) for j in range(i + 1, t)}
     s_hat = annihilator(inst.radical().subspace)
     r_hat = annihilator(inst.subspace)
     dual_basis = [ab.dual_row(i) for i in range(d, n)]
-    dual = MetricSpace(F, n, dual_basis,
-                       QuadraticForm(F, diag, upper), subspace=s_hat)
+    dual = MetricSpace._trusted(F, n, dual_basis,
+                                QuadraticForm._trusted(F, diag, upper), s_hat)
     return DualFormResult(s_hat, r_hat, dual, ab, g22, g22_hat)
 
 

@@ -7,7 +7,9 @@ it is falsy.  The Field methods are the scalar API and own the parsing and
 formatting of the textual encoding ("num/den" or "num" for rationals, decimal
 residues for GF(p)).  The matrix and form kernels in ``linalg`` and
 ``quadform`` bypass them: they run native ``int``/``Fraction`` operators and,
-over GF(p), reduce modulo ``characteristic()`` once per computed entry.
+over GF(p), reduce modulo ``characteristic()`` once per computed entry.  Over
+the rationals, elimination and products run on ``int`` rows with cleared
+denominators and build one ``Fraction`` per result entry.
 """
 
 import re

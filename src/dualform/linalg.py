@@ -9,7 +9,7 @@ in canonical reduced row-echelon form, so subspace equality is structural.
 
 import operator
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 from .errors import LengthMismatch, NotNested, Singular
 
@@ -18,6 +18,16 @@ def _canon(p, xs):
     """The entries of xs as a tuple, reduced into [0, p) over GF(p); over
     the rationals (p = 0) Fraction arithmetic keeps them canonical."""
     return tuple([x % p for x in xs]) if p else tuple(xs)
+
+
+def _int_rows(rows):
+    """Rational rows as int rows over the lcm of their denominators."""
+    ints, dens = [], []
+    for row in rows:
+        pairs = [x.as_integer_ratio() for x in row]
+        dens.append(lcm(*[e for _, e in pairs]))
+        ints.append([n * (dens[-1] // e) for n, e in pairs])
+    return ints, dens
 
 
 class Matrix:
@@ -29,6 +39,9 @@ class Matrix:
     length ``cols`` whose entries are already canonical (``Fraction`` over
     the rationals, ``int`` in [0, p) over GF(p)), as every result computed
     here from canonical operands is.
+
+    Over the rationals, products clear the denominators of each row and
+    column and build one ``Fraction`` per entry from an int dot product.
     """
 
     __slots__ = ("field", "rows", "cols", "data")
@@ -93,6 +106,13 @@ class Matrix:
         F = self.field
         p, zero = F.characteristic(), F.zero
         cols = other.transpose().data
+        if not p:
+            rows, row_dens = _int_rows(self.data)
+            cols, col_dens = _int_rows(cols)
+            return Matrix._trusted(F, [
+                [Fraction(sum(map(operator.mul, row, col)), d * e)
+                 for col, e in zip(cols, col_dens)]
+                for row, d in zip(rows, row_dens)], other.cols)
         return Matrix._trusted(F, [
             _canon(p, [sum(map(operator.mul, row, col), zero) for col in cols])
             for row in self.data], other.cols)
@@ -100,10 +120,8 @@ class Matrix:
     def mul_vec(self, v):
         if len(v) != self.cols:
             raise LengthMismatch("matrix-vector shape mismatch")
-        F = self.field
-        return _canon(F.characteristic(),
-                      [sum(map(operator.mul, row, v), F.zero)
-                       for row in self.data])
+        column = Matrix._trusted(self.field, [[x] for x in v], 1)
+        return self.mul(column).column(0)
 
     def scale(self, c):
         F = self.field
@@ -145,11 +163,9 @@ def vec_scale(F, c, x):
 
 def combine(F, coeffs, rows, n):
     """sum_i coeffs[i] * rows[i] in F^n."""
-    out = [F.zero] * n
-    for c, row in zip(coeffs, rows):
-        if c:
-            out = [o + c * x for o, x in zip(out, row)]
-    return _canon(F.characteristic(), out)
+    k = len(coeffs)
+    return Matrix._trusted(F, [coeffs], k).mul(
+        Matrix._trusted(F, rows[:k], n)).row(0)
 
 
 def rref(M):
@@ -158,38 +174,54 @@ def rref(M):
     Returns (R, T, pivots) with R = T * M, T invertible and pivots the list
     of pivot column indices in order.  The pivot of each column is its first
     nonzero entry at or below the current row.  Each working row holds a row
-    of M followed by the same row of T.  A row operation for pivot column c
-    starts at column c and leaves an entry alone where the pivot row is
-    zero: the pivot row is zero before column c.
+    of M followed by the same row of T.  Over GF(p) a row operation for
+    pivot column c starts at column c: the pivot row is zero before it.
+    Over the rationals a row is ints times an unstored rational scale, and
+    row_i -= (f / pv) * row_r becomes (pv * row_i - f * row_r) / gcd.  In
+    the end a pivot row is multiplied by the inverse of its pivot; any other
+    row is divided by its entry in its own column own[i] of T, whose value
+    stays 1 because no pivot row is nonzero there.
     """
     F = M.field
-    p, zero, one = F.characteristic(), F.zero, F.one
-    n = M.rows
-    a = [list(row) + [one if i == j else zero for j in range(n)]
-         for i, row in enumerate(M.data)]
+    p, n, k = F.characteristic(), M.rows, M.cols
+    rows, dens = (M.data, [1] * n) if p else _int_rows(M.data)
+    a = [list(row) + [d if i == j else 0 for j in range(n)]
+         for i, (row, d) in enumerate(zip(rows, dens))]
+    own = list(range(n))
     pivots = []
     r = 0
-    for c in range(M.cols):
+    for c in range(k):
         pr = next((i for i in range(r, n) if a[i][c]), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = F.inv(a[r][c])
-        a[r][c:] = pivot = _canon(p, [inv * x for x in a[r][c:]])
+        own[r], own[pr] = own[pr], own[r]
+        if p:
+            inv = F.inv(a[r][c])
+            a[r][c:] = pivot = _canon(p, [inv * x for x in a[r][c:]])
+        else:
+            pivot = a[r]
         for i in range(n):
             f = a[i][c]
             if i == r or not f:
                 continue
-            pairs = zip(a[i][c:], pivot)
             if p:
-                a[i][c:] = [(x - f * y) % p if y else x for x, y in pairs]
+                a[i][c:] = [(x - f * y) % p if y else x
+                            for x, y in zip(a[i][c:], pivot)]
             else:
-                a[i][c:] = [x - f * y if y else x for x, y in pairs]
+                row = [pivot[c] * x - f * y for x, y in zip(a[i], pivot)]
+                g = gcd(*row)
+                a[i] = [x // g for x in row] if g != 1 else row
         pivots.append(c)
         r += 1
         if r == n:
             break
-    k = M.cols
+    if not p:
+        for i, row in enumerate(a):
+            inv = F.inv(row[pivots[i]]) if i < r else \
+                Fraction(1, row[k + own[i]])
+            num, d = inv.numerator, inv.denominator  # inv = +-1/d
+            a[i] = [Fraction(num * x, d) if x else F.zero for x in row]
     return (Matrix._trusted(F, [row[:k] for row in a], k),
             Matrix._trusted(F, [row[k:] for row in a], n), pivots)
 
@@ -230,16 +262,8 @@ def det(M):
     if n == 0:
         return F.one
     if F.characteristic() == 0:
-        # Clear denominators row-wise, then run Bareiss on integers.
-        scaled = []
-        denom = 1
-        for row in M.data:
-            lcm = 1
-            for x in row:
-                lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-            scaled.append([int(x * lcm) for x in row])
-            denom *= lcm
-        return Fraction(_bareiss_int(scaled), denom)
+        ints, dens = _int_rows(M.data)
+        return Fraction(_bareiss_int(ints), prod(dens))
     p = F.characteristic()
     a = [[int(x) for x in row] for row in M.data]
     d = 1
@@ -318,16 +342,17 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, field, ambient_dim, rows):
-        if rows:
-            M = Matrix(field, rows)
-            if M.cols != ambient_dim:
-                raise LengthMismatch("row length != ambient dimension")
-            R, _, pivots = rref(M)
-            kept = R.data[:len(pivots)]
-        else:
-            kept = ()
-        return cls(field, ambient_dim,
-                   Matrix._trusted(field, kept, ambient_dim))
+        M = Matrix(field, rows, cols=ambient_dim)
+        if M.cols != ambient_dim:
+            raise LengthMismatch("row length != ambient dimension")
+        return cls._span(M)
+
+    @classmethod
+    def _span(cls, M):
+        """Subspace spanned by the rows of M, which are canonical."""
+        R, _, pivots = rref(M) if M.rows else (M, None, ())
+        return cls(M.field, M.cols,
+                   Matrix._trusted(M.field, R.data[:len(pivots)], M.cols))
 
     @classmethod
     def zero(cls, field, ambient_dim):
@@ -388,7 +413,7 @@ def _null_space(F, R, pivots, cols):
         for r, c in enumerate(pivots):
             v[c] = -R[r, f]
         rows.append(_canon(F.characteristic(), v))
-    return Subspace.from_rows(F, cols, rows)
+    return Subspace._span(Matrix._trusted(F, rows, cols))
 
 
 def kernel(M):
@@ -421,7 +446,8 @@ def _complete_basis(field, prefix_rows, candidates):
     """The independent prefix rows, then each candidate outside the span of
     the vectors before it: the pivot columns of one rref of the column
     matrix [prefix | candidates]."""
-    cols = Matrix.from_columns(field, list(prefix_rows) + list(candidates))
+    vectors = list(prefix_rows) + list(candidates)
+    cols = Matrix._trusted(field, zip(*vectors), len(vectors))
     return [cols.column(j) for j in rref(cols)[2]]
 
 

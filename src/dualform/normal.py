@@ -30,7 +30,7 @@ def _radical_first_transform(inst):
     """m x m matrix whose columns are a radical-first coordinate basis."""
     rad = inst.radical()
     cols = complete_to_ambient(inst.field, rad.in_domain.basis.data, inst.m)
-    return Matrix.from_columns(inst.field, cols), rad.dim
+    return Matrix._trusted(inst.field, zip(*cols), inst.m), rad.dim
 
 
 def diagonalize(inst):
@@ -71,7 +71,7 @@ def diagonalize(inst):
         for l in range(k + 1, m):
             f = F.div(b(cols[k], cols[l]), pk)
             cols[l] = list(vec_sub(F, cols[l], vec_scale(F, f, cols[k])))
-    T = T1.mul(Matrix.from_columns(F, cols))
+    T = T1.mul(Matrix._trusted(F, zip(*cols), m))
     return NormalFormResult(T, inst.change_of_basis(T), DIAGONAL)
 
 
@@ -110,6 +110,6 @@ def char2_normal_form(inst):
         us.append(u)
         vs.append(v)
     cols = [list(eye.row(j)) for j in range(d)] + us + vs[::-1]
-    T = T1.mul(Matrix.from_columns(F, cols))
+    T = T1.mul(Matrix._trusted(F, zip(*cols), m))
     return NormalFormResult(T, inst.change_of_basis(T),
                             MINOR_DIAGONAL_CHAR2)

@@ -30,6 +30,21 @@ class QuadraticForm:
                 cleaned[(i, j)] = v
         self.upper = cleaned
 
+    @classmethod
+    def _trusted(cls, field, diag, upper):
+        """Internal constructor for canonical diag and upper values."""
+        self = object.__new__(cls)
+        self.field, self.diag, self.m = field, tuple(diag), len(diag)
+        self.upper = {ij: v for ij, v in upper.items() if v}
+        return self
+
+    def matrix(self):
+        """Upper-triangular A with Q(x) = x^t A x, diag on its diagonal."""
+        F, m, d = self.field, self.m, self.diag
+        return Matrix._trusted(F, [[d[i] if i == j else
+                                    self.upper.get((i, j), F.zero)
+                                    for j in range(m)] for i in range(m)], m)
+
     def coefficient(self, i, j):
         """Polar coefficient B(b_i, b_j) for i != j, stored or zero."""
         if i > j:
@@ -81,7 +96,7 @@ class MetricSpace:
             if len(row) != n:
                 raise LengthMismatch("basis vector length != n")
         if subspace is None:
-            subspace = Subspace.from_rows(field, n, list(self.s_basis))
+            subspace = Subspace._span(Matrix._trusted(field, self.s_basis, n))
         self.subspace = subspace
         if subspace.dim != len(self.s_basis):
             raise LengthMismatch("s_basis is linearly dependent")
@@ -92,6 +107,15 @@ class MetricSpace:
         self.form = form
         self._solver = None
         self._radical = None
+
+    @classmethod
+    def _trusted(cls, field, n, s_basis, form, subspace):
+        """Internal constructor, unchecked: canonical s_basis spanning S."""
+        self = object.__new__(cls)
+        self.field, self.n, self.s_basis = field, n, tuple(s_basis)
+        self.subspace, self.form = subspace, form
+        self._solver = self._radical = None
+        return self
 
     @property
     def m(self):
@@ -166,7 +190,7 @@ class MetricSpace:
         if self._radical is None:
             in_domain = kernel(self.polar_gram())
             rows = [self.from_coords(r) for r in in_domain.basis.data]
-            ambient = Subspace.from_rows(self.field, self.n, rows)
+            ambient = Subspace._span(Matrix._trusted(self.field, rows, self.n))
             self._radical = Radical(ambient, in_domain)
         return self._radical
 
@@ -188,23 +212,23 @@ class MetricSpace:
     def change_of_basis(self, T):
         """Re-express the form on the basis b'_j = sum_i T[i][j] b_i.
 
-        The new polar coefficients are the entries of T^t G T, and the new
-        diagonal values are Q at the columns of T.
+        With A = form.matrix(), Q(T y) = y^t M y for M = T^t A T: the new
+        diagonal is M's diagonal and the new polar coefficients are
+        M[i][j] + M[j][i], exactly so in every characteristic.
         """
-        F, m = self.field, self.m
+        F, m, p = self.field, self.m, self.field.characteristic()
         if T.rows != m or T.cols != m:
             raise LengthMismatch("change of basis must be m x m")
         if rank(T) != m:
             raise Singular("change of basis matrix is singular")
         Tt = T.transpose()
-        gram = Tt.mul(self.polar_gram()).mul(T)
+        M = Tt.mul(self.form.matrix()).mul(T).data
         new_basis = Tt.mul(Matrix._trusted(F, self.s_basis, self.n)).data
-        diag = [self.eval_q(T.column(j)) for j in range(m)]
-        upper = {(i, j): gram[i, j]
-                 for i in range(m) for j in range(i + 1, m)}
-        return MetricSpace(F, self.n, new_basis,
-                           QuadraticForm(F, diag, upper),
-                           subspace=self.subspace)
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        sums = _canon(p, [M[i][j] + M[j][i] for i, j in pairs])
+        form = QuadraticForm._trusted(F, [M[i][i] for i in range(m)],
+                                      dict(zip(pairs, sums)))
+        return MetricSpace._trusted(F, self.n, new_basis, form, self.subspace)
 
     def __eq__(self, other):
         return (isinstance(other, MetricSpace)

@@ -130,6 +130,6 @@ def reflection(inst, s):
         e_j = tuple(F.one if k == j else F.zero for k in range(n))
         cols.append(vec_sub(F, e_j,
                             vec_scale(F, F.mul(inv_qs, f_star[j]), s)))
-    psi_ext = LinearMap(Matrix.from_columns(F, cols))
+    psi_ext = LinearMap(Matrix._trusted(F, zip(*cols), n))
     phi_s = inst.coords_matrix([psi_ext.apply(b) for b in inst.s_basis])
     return phi_s, psi_ext, f_star

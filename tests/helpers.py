@@ -77,3 +77,30 @@ def random_instance(rng, field=None, n_max=8, require_condition=False):
 
 def random_instance_with_condition(rng, field=None, n_max=8):
     return random_instance(rng, field, n_max, require_condition=True)
+
+
+def wide_rational_matrix(rng, rows, cols):
+    """Rows mixing integers, small denominators and denominators up to
+    2^40, numerators up to 2^64, a quarter of the entries zero; with
+    probability 1/2 some rows are rational combinations of earlier rows,
+    so the matrix is rank deficient."""
+    def entry():
+        if rng.random() < 0.25:
+            return Fraction(0)
+        den = rng.choice([1, rng.randint(1, 9), rng.randint(1, 2**40)])
+        return Fraction(rng.randint(-2**64, 2**64), den)
+
+    data = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and rng.random() < 0.5:
+        for i in rng.sample(range(1, rows), rng.randint(1, rows - 1)):
+            a, b = entry(), entry()
+            j = rng.randrange(i)
+            data[i] = [a * x + b * y for x, y in zip(data[j], data[i - 1])]
+    return Matrix(FQ, data, cols=cols)
+
+
+def wide_shapes(rng, count):
+    """Empty, 1 x 1 and random shapes up to 6 x 6."""
+    fixed = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (5, 5)]
+    return fixed + [(rng.randint(0, 6), rng.randint(0, 6))
+                    for _ in range(count)]

@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from dualform import ValidationError
-from dualform.cli import main, parse_problem
+from dualform import ValidationError, cli
+from dualform.cli import MAX_DIM, main, parse_problem
 from helpers import FQ
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -253,6 +253,28 @@ def test_invalid_utf8_is_an_error_line(capsys, monkeypatch, tmp_path, source):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("dualize", {"field": "rational", "n": 10**9, "S": [],
+                 "Q": {"diag": []}}),
+    ("adjugate", {"field": "rational", "M": [[0]] * (MAX_DIM + 1)}),
+], ids=["n", "adjugate"])
+def test_runaway_size_is_refused_before_any_work(capsys, monkeypatch,
+                                                 tmp_path, command, doc):
+    """The computations are replaced by a trap, so that a missing limit
+    fails the test instead of building a 10^9 x 10^9 identity."""
+    def trap(*args):
+        pytest.fail("computation started on a runaway size")
+
+    for name in ("dualize", "adjugate", "det"):
+        monkeypatch.setattr(cli, name, trap)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and f"limit {MAX_DIM}" in err
 
 
 class TestDeterminism:

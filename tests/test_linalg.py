@@ -6,8 +6,10 @@ import pytest
 from dualform import (Matrix, NotNested, Singular, Subspace, adjugate,
                       annihilator, det, extend_basis, invert_matrix, kernel,
                       make_field, rank, rref, solve)
-from dualform.linalg import _complete_basis, complete_to_ambient
-from helpers import FQ, F2, F3, random_subspace_basis, random_vector
+from dualform import fields
+from dualform.linalg import _complete_basis, combine, complete_to_ambient
+from helpers import (FQ, F2, F3, random_subspace_basis, random_vector,
+                     wide_rational_matrix, wide_shapes)
 
 
 def mat(F, rows):
@@ -259,3 +261,86 @@ def test_pivot_coordinates_match_solve(F):
             expected = None if sol is None else sol[0]
             assert T.coordinates(vec) == expected
         assert T.coordinates(inside) is not None
+
+
+def _fraction_rref(M):
+    """Reference: Gauss-Jordan on Fractions with rref's pivot rule (first
+    nonzero at or below the current row), returning (R, T, pivots) as
+    plain rows."""
+    n, k = M.rows, M.cols
+    a = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(M.data)]
+    pivots = []
+    for c in range(k):
+        r = len(pivots)
+        pr = next((i for i in range(r, n) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        pv = a[r][c]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(n):
+            f = a[i][c]
+            if i != r and f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return ([tuple(row[:k]) for row in a], [tuple(row[k:]) for row in a],
+            pivots)
+
+
+def test_rational_rref_matches_fraction_elimination():
+    """The integer kernel returns exactly the Fraction elimination's R, T
+    (rows below the rank included) and pivots on wide entries."""
+    rng = random.Random(113)
+    deficient = 0
+    for rows, cols in wide_shapes(rng, 60):
+        M = wide_rational_matrix(rng, rows, cols)
+        R, T, pivots = rref(M)
+        R_ref, T_ref, pivots_ref = _fraction_rref(M)
+        assert list(R.data) == R_ref
+        assert list(T.data) == T_ref
+        assert pivots == pivots_ref
+        assert all(type(x) is Fraction for row in R.data + T.data
+                   for x in row)
+        deficient += len(pivots) < rows
+    assert deficient > 10
+
+
+def test_rational_combine_matches_fraction_sum():
+    rng = random.Random(127)
+    for rows, cols in wide_shapes(rng, 30):
+        M = wide_rational_matrix(rng, rows, cols)
+        coeffs = wide_rational_matrix(rng, 1, rows).data[0]
+        expected = [sum((c * row[j] for c, row in zip(coeffs, M.data)),
+                        Fraction(0)) for j in range(cols)]
+        assert combine(FQ, coeffs, M.data, cols) == tuple(expected)
+        # fewer coefficients than rows: the leading rows only
+        assert combine(FQ, coeffs[:1], M.data, cols) == \
+            combine(FQ, coeffs[:1], M.data[:1], cols)
+
+
+@pytest.mark.parametrize("F", [FQ, F2, make_field("prime", 2**31 - 1)],
+                         ids=repr)
+def test_rref_inverts_once_per_pivot(monkeypatch, F):
+    """rref calls Field.inv exactly once per pivot, over the rationals as
+    over GF(p); the traced benchmark counts these calls."""
+    calls = []
+
+    def counting(raw):
+        def wrapper(self, a):
+            calls.append(a)
+            return raw(self, a)
+        return wrapper
+
+    for cls in vars(fields).values():
+        if isinstance(cls, type) and issubclass(cls, fields.Field) \
+                and "inv" in vars(cls):
+            monkeypatch.setattr(cls, "inv", counting(vars(cls)["inv"]))
+    rng = random.Random(F.characteristic() + 131)
+    for rows, cols in wide_shapes(rng, 40):
+        data = [random_vector(rng, F, cols) for _ in range(rows)]
+        if rows > 1:
+            data[-1] = data[0]
+        del calls[:]
+        _, _, pivots = rref(Matrix(F, data, cols=cols))
+        assert len(calls) == len(pivots)

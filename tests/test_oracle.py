@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from dualform import (Matrix, Singular, det, invert_matrix, make_field, rank,
-                      rref)
+from dualform import (Matrix, Singular, adjugate, det, invert_matrix,
+                      make_field, rank, rref)
+from helpers import wide_rational_matrix, wide_shapes
 
 sympy = pytest.importorskip("sympy")
 DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
@@ -104,3 +105,55 @@ def test_mul_matches_sympy(F):
         A = random_matrix(rng, F, rows, inner)
         B = random_matrix(rng, F, inner, cols)
         assert A.mul(B) == from_sympy(F, to_sympy(A).matmul(to_sympy(B)))
+
+
+def test_rational_products_match_sympy_on_wide_entries():
+    """Denominator clearing in mul, mul_vec and det against sympy over QQ,
+    with numerators up to 2^64, denominators up to 2^40 and inner
+    dimension 0."""
+    F = FIELDS[0]
+    rng = random.Random(43)
+    for rows, inner in wide_shapes(rng, 30):
+        cols = rng.randint(0, 5)
+        A = wide_rational_matrix(rng, rows, inner)
+        B = wide_rational_matrix(rng, inner, cols)
+        assert A.mul(B) == from_sympy(F, to_sympy(A).matmul(to_sympy(B)))
+        v = wide_rational_matrix(rng, inner, 1)
+        assert A.mul_vec(v.column(0)) == \
+            from_sympy(F, to_sympy(A).matmul(to_sympy(v))).column(0)
+        if rows == inner:
+            assert det(A) == scalar_from_sympy(F, to_sympy(A).det())
+
+
+def matrix_of_rank(rng, F, n, r):
+    """L * D * U with unit lower and upper triangular L, U and D the
+    diagonal matrix of r ones, then n - r zeros: rank exactly r."""
+    p = F.characteristic()
+
+    def entry():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if p == 0 \
+            else rng.randrange(p)
+
+    def unit(lower):
+        return Matrix(F, [[1 if i == j else entry() if (i > j) == lower
+                           else 0 for j in range(n)] for i in range(n)],
+                      cols=n)
+
+    D = Matrix(F, [[int(i == j < r) for j in range(n)] for i in range(n)],
+               cols=n)
+    return unit(True).mul(D).mul(unit(False))
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_adjugate_matches_sympy(F):
+    """Regular inputs, rank n - 1 (adjugate of rank one) and ranks below
+    n - 1 (adjugate zero) for n = 0..8, through both the cofactor path
+    (n <= 6 and singular inputs) and the det * inverse path."""
+    rng = random.Random(47 + F.characteristic())
+    for n in range(9):
+        for rank_ in range(max(n - 3, 0), n + 1):
+            for _ in range(2):
+                M = matrix_of_rank(rng, F, n, rank_)
+                D = to_sympy(M)
+                assert D.rank() == rank_
+                assert adjugate(M) == from_sympy(F, D.adjugate())
