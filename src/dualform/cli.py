@@ -30,6 +30,8 @@ def _load_json(text):
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}")
+    except ValueError:  # an int literal over the int/str digit limit
+        raise ParseError("invalid JSON: integer literal has too many digits")
 
 
 def _is_int(x):

@@ -101,17 +101,15 @@ def _check_in_s_hat(inst, rad, a_star):
 
 
 def b_linked(inst, a_star, x):
-    """Whether the form a* is linked to the vector x (both ambient)."""
+    """Whether the form a* is linked to the vector x (both ambient):
+    <a*, b_j> = B(x, b_j) = (G coords(x))_j for the polar Gram matrix G on
+    s_basis, in every characteristic."""
     F = inst.field
     a_star = tuple(F.scalar(v) for v in a_star)
     coords = inst.coords_of(x)
     _check_in_s_hat(inst, inst.radical(), a_star)
-    m = inst.m
-    for j in range(m):
-        unit = tuple(F.one if k == j else F.zero for k in range(m))
-        if dot(F, a_star, inst.s_basis[j]) != inst.eval_b(coords, unit):
-            return False
-    return True
+    return inst.polar_gram().mul_vec(coords) == tuple(
+        dot(F, a_star, b) for b in inst.s_basis)
 
 
 def linked_coset(inst, f_star):

@@ -67,7 +67,11 @@ class Field:
         raise NotImplementedError
 
     def format(self, a):
-        return str(a)
+        try:
+            return str(a)
+        except ValueError:  # over Python's int/str conversion digit limit
+            raise ValidationError("result scalar has too many digits to "
+                                  "print")
 
 
 class RationalField(Field):

@@ -77,10 +77,6 @@ class Matrix:
     def zeros(cls, field, rows, cols):
         return cls._trusted(field, [[field.zero] * cols] * rows, cols)
 
-    @classmethod
-    def from_columns(cls, field, columns):
-        return cls(field, columns).transpose()
-
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
@@ -230,61 +226,46 @@ def rank(M):
     return len(rref(M)[2])
 
 
-def _bareiss_int(a):
-    # Fraction-free elimination; a is a mutable list-of-lists of ints.
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def det(M):
+    """Determinant by one elimination with the pivot rule of rref.
+
+    Over GF(p) this is Gauss: det = sign * product of the pivots, and each
+    row operation starts at the pivot column and skips a zero multiplier.
+    Over the rationals it is Bareiss on the rows cleared of denominators:
+    row_i <- (pv * row_i - f * row_k) / prev is exact, so every row below
+    the pivot is updated, one with f = 0 too, and the last pivot is the
+    determinant of the int rows.
+    """
     if M.rows != M.cols:
         raise LengthMismatch("determinant of a non-square matrix")
     F = M.field
-    n = M.rows
-    if n == 0:
-        return F.one
-    if F.characteristic() == 0:
-        ints, dens = _int_rows(M.data)
-        return Fraction(_bareiss_int(ints), prod(dens))
-    p = F.characteristic()
-    a = [[int(x) for x in row] for row in M.data]
-    d = 1
+    p, n = F.characteristic(), M.rows
+    a, dens = ([list(row) for row in M.data], ()) if p else _int_rows(M.data)
+    sign, prev, d = 1, 1, 1
     for k in range(n):
-        pr = None
-        for i in range(k, n):
-            if a[i][k] % p != 0:
-                pr = i
-                break
+        pr = next((i for i in range(k, n) if a[i][k]), None)
         if pr is None:
-            return 0
+            return F.zero
         if pr != k:
             a[k], a[pr] = a[pr], a[k]
-            d = -d
-        d = d * a[k][k] % p
-        inv = pow(a[k][k], p - 2, p)
+            sign = -sign
+        pivot = a[k][k:]
+        pv = pivot[0]
+        if p:
+            d = d * pv % p
+            inv = F.inv(pv)
         for i in range(k + 1, n):
-            f = a[i][k] * inv % p
-            if f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
-    return d % p
+            f = a[i][k]
+            if p:
+                if f:
+                    f = f * inv % p
+                    a[i][k:] = [(x - f * y) % p
+                                for x, y in zip(a[i][k:], pivot)]
+            else:
+                a[i][k:] = [(pv * x - f * y) // prev
+                            for x, y in zip(a[i][k:], pivot)]
+        prev = pv
+    return sign * d % p if p else Fraction(sign * prev, prod(dens))
 
 
 def invert_matrix(M):
@@ -296,36 +277,33 @@ def invert_matrix(M):
     return T
 
 
-def _cofactor_adjugate(M):
-    F = M.field
-    n = M.rows
-    if n == 0:
-        return M
-    if n == 1:
-        return Matrix.identity(F, 1)
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            idx_r = [r for r in range(n) if r != i]
-            idx_c = [c for c in range(n) if c != j]
-            minor = det(M.submatrix(idx_r, idx_c))
-            if (i + j) % 2:
-                minor = F.neg(minor)
-            out[j][i] = minor
-    return Matrix(F, out)
-
-
 def adjugate(M):
     """Transpose of the cofactor matrix; adj(M) * M = det(M) * I, defined
-    also for singular M."""
+    also for singular M.
+
+    One rref (R, T, pivots) of M decides the rank r.  At r = n the adjugate
+    is det(M) * T.  Below n - 1 every (n-1)-minor vanishes, so it is zero.
+    At r = n - 1 it has rank one, adj = c * x * y^t: M x = 0 for the null
+    vector x of R at its free column j, y^t M = 0 for the last row y of T,
+    and the (j, i) entry, for the first i with y_i != 0, fixes
+    c = (-1)^(i+j) * det(M without row i and column j) / y_i.
+    """
     if M.rows != M.cols:
         raise LengthMismatch("adjugate of a non-square matrix")
-    if M.rows <= 6:
-        return _cofactor_adjugate(M)
-    d = det(M)
-    if M.field.is_zero(d):
-        return _cofactor_adjugate(M)
-    return invert_matrix(M).scale(d)
+    F, n = M.field, M.rows
+    R, T, pivots = rref(M)
+    if len(pivots) == n:
+        return T.scale(det(M))
+    if len(pivots) < n - 1:
+        return Matrix.zeros(F, n, n)
+    j = next(c for c in range(n) if c not in pivots)
+    x = _null_vector(R, pivots, j)
+    y = T.row(n - 1)
+    i = next(k for k, v in enumerate(y) if v)
+    minor = det(M.submatrix([k for k in range(n) if k != i],
+                            [k for k in range(n) if k != j]))
+    c = minor * F.inv(y[i]) * (-1) ** (i + j)
+    return Matrix._trusted(F, [vec_scale(F, c * u, y) for u in x], n)
 
 
 class Subspace:
@@ -403,23 +381,28 @@ class Subspace:
                 f"basis={[list(r) for r in self.basis.data]})")
 
 
-def _null_space(F, R, pivots, cols):
+def _null_vector(R, pivots, f):
+    """The solution x of R x = 0, R in reduced row-echelon form, with
+    x_f = 1 at the free column f and 0 at the other free columns."""
+    F = R.field
+    v = [F.zero] * R.cols
+    v[f] = F.one
+    for r, c in enumerate(pivots):
+        v[c] = -R[r, f]
+    return _canon(F.characteristic(), v)
+
+
+def _null_space(R, pivots):
     """Solution space of R x = 0 for R in reduced row-echelon form."""
-    free = [c for c in range(cols) if c not in pivots]
-    rows = []
-    for f in free:
-        v = [F.zero] * cols
-        v[f] = F.one
-        for r, c in enumerate(pivots):
-            v[c] = -R[r, f]
-        rows.append(_canon(F.characteristic(), v))
-    return Subspace._span(Matrix._trusted(F, rows, cols))
+    rows = [_null_vector(R, pivots, f) for f in range(R.cols)
+            if f not in pivots]
+    return Subspace._span(Matrix._trusted(R.field, rows, R.cols))
 
 
 def kernel(M):
     """Solution space of M x = 0 as a Subspace of F^cols."""
     R, _, pivots = rref(M)
-    return _null_space(M.field, R, pivots, M.cols)
+    return _null_space(R, pivots)
 
 
 def solve(M, b):
@@ -434,12 +417,12 @@ def solve(M, b):
     x = [F.zero] * M.cols
     for r, p in enumerate(pivots):
         x[p] = c[r]
-    return tuple(x), _null_space(F, R, pivots, M.cols)
+    return tuple(x), _null_space(R, pivots)
 
 
 def annihilator(T):
     """Linear forms (dual coordinate rows) vanishing on T."""
-    return _null_space(T.field, T.basis, T.pivots, T.ambient_dim)
+    return _null_space(T.basis, T.pivots)
 
 
 def _complete_basis(field, prefix_rows, candidates):

@@ -1,6 +1,7 @@
-"""Shared builders for the test suite: the worked examples and seeded
-random instance generators."""
+"""Shared builders for the test suite: the worked examples, seeded
+random instance and matrix generators, and a call recorder."""
 
+import sys
 from fractions import Fraction
 
 from dualform import (MetricSpace, QuadraticForm, Matrix, make_field, rank)
@@ -104,3 +105,40 @@ def wide_shapes(rng, count):
     fixed = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (5, 5)]
     return fixed + [(rng.randint(0, 6), rng.randint(0, 6))
                     for _ in range(count)]
+
+
+def matrix_of_rank(rng, F, n, r):
+    """L * D * U with unit lower and upper triangular L, U and D the
+    diagonal matrix of r ones, then n - r zeros: rank exactly r."""
+    p = F.characteristic()
+
+    def entry():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if p == 0 \
+            else rng.randrange(p)
+
+    def unit(lower):
+        return Matrix(F, [[1 if i == j else entry() if (i > j) == lower
+                           else 0 for j in range(n)] for i in range(n)],
+                      cols=n)
+
+    D = Matrix(F, [[int(i == j < r) for j in range(n)] for i in range(n)],
+               cols=n)
+    return unit(True).mul(D).mul(unit(False))
+
+
+def record_calls(monkeypatch, raw):
+    """Rebind the dualform function raw in every dualform module that
+    imported it by name, so calls from any module are seen; returns the
+    list that receives the (rows, cols) shape of each call's matrix."""
+    calls = []
+
+    def recording(M):
+        calls.append((M.rows, M.cols))
+        return raw(M)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "dualform":
+            for attr, value in list(vars(mod).items()):
+                if value is raw:
+                    monkeypatch.setattr(mod, attr, recording)
+    return calls

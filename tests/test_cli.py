@@ -227,10 +227,12 @@ def _paper5_doc(**changes):
     (["linked-forms", "--vector=0,1e5,0,0,0"], _paper5_doc()),
     (["radical"], _paper5_doc(field={"kind": "prime", "p": 7},
                               Q={"diag": ["0", "1_0", "+3"]})),
+    (["adjugate"], {"field": "rational",
+                    "M": [["1" + "0" * 2500, "0"], ["0", "1" + "0" * 2500]]}),
 ], ids=["p-string", "kind-int", "upper-int", "adjugate-list",
         "half-gram-list", "M-flat", "n-bool", "exponent-scalar",
         "exponent-ratio", "decimal-scalar", "exponent-vector",
-        "residue-underscore"])
+        "residue-underscore", "digits-result"])
 def test_malformed_input_is_an_error_line(capsys, tmp_path, argv, doc):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
@@ -250,6 +252,18 @@ def test_invalid_utf8_is_an_error_line(capsys, monkeypatch, tmp_path, source):
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
         io.BytesIO(path.read_bytes()), encoding="utf-8"))
     code, out, err = run_cli(capsys, *argv[source])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_oversized_int_literal_is_an_error_line(capsys, tmp_path):
+    """An int literal over Python's int/str digit limit; written as text,
+    because json.dumps cannot write that int either."""
+    path = tmp_path / "input.json"
+    path.write_text('{"field": "rational", "n": 1' + "0" * 5000
+                    + ', "S": [], "Q": {"diag": []}}')
+    code, out, err = run_cli(capsys, "radical", str(path))
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err

@@ -1,6 +1,5 @@
 import os
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,7 @@ from dualform.cli import parse_problem
 from dualform.linalg import dot, vec_add, vec_scale
 from helpers import (ALL_FIELDS, F2, F3, F5, FQ, hyperbolic_gf2, paper5,
                      rad_char2, random_instance_with_condition, random_scalar,
-                     random_vector)
+                     random_vector, record_calls)
 
 
 def random_s_hat_vector(rng, dres):
@@ -301,18 +300,7 @@ def test_dualize_elimination_count(monkeypatch, fixture, first, again):
     path = os.path.join(os.path.dirname(__file__), "fixtures", fixture)
     with open(path) as fh:
         inst = parse_problem(fh.read())
-    raw = linalg.rref
-    calls = []
-
-    def counting(M):
-        calls.append((M.rows, M.cols))
-        return raw(M)
-
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "dualform":
-            for attr, value in list(vars(mod).items()):
-                if value is raw:
-                    monkeypatch.setattr(mod, attr, counting)
+    calls = record_calls(monkeypatch, linalg.rref)
     dualize(inst)
     assert len(calls) == first, calls
     assert inst.radical() is inst.radical()

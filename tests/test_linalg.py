@@ -6,10 +6,11 @@ import pytest
 from dualform import (Matrix, NotNested, Singular, Subspace, adjugate,
                       annihilator, det, extend_basis, invert_matrix, kernel,
                       make_field, rank, rref, solve)
-from dualform import fields
+from dualform import fields, linalg
 from dualform.linalg import _complete_basis, combine, complete_to_ambient
-from helpers import (FQ, F2, F3, random_subspace_basis, random_vector,
-                     wide_rational_matrix, wide_shapes)
+from helpers import (FQ, F2, F3, matrix_of_rank, random_subspace_basis,
+                     random_vector, record_calls, wide_rational_matrix,
+                     wide_shapes)
 
 
 def mat(F, rows):
@@ -213,6 +214,21 @@ def test_det_bareiss_matches_gf():
         dp = det(Matrix(F7, rows))
         assert dq.denominator == 1
         assert dq.numerator % 7 == dp
+
+
+@pytest.mark.parametrize("n", [1, 6, 12])
+@pytest.mark.parametrize("F", [FQ, F3], ids=repr)
+def test_adjugate_eliminates_once(monkeypatch, F, n):
+    """adjugate reads every rank case off one rref: full rank and rank
+    n - 1 add one determinant each, lower ranks none."""
+    rng = random.Random(n)
+    rrefs = record_calls(monkeypatch, linalg.rref)
+    dets = record_calls(monkeypatch, linalg.det)
+    for r in sorted({n, n - 1, max(n - 2, 0), 0}):
+        M = matrix_of_rank(rng, F, n, r)
+        del rrefs[:], dets[:]
+        adjugate(M)
+        assert (len(rrefs), len(dets)) == (1, int(r >= n - 1)), (r, dets)
 
 
 def _greedy_completion(F, prefix, candidates):

@@ -9,7 +9,7 @@ import pytest
 
 from dualform import (Matrix, Singular, adjugate, det, invert_matrix,
                       make_field, rank, rref)
-from helpers import wide_rational_matrix, wide_shapes
+from helpers import matrix_of_rank, wide_rational_matrix, wide_shapes
 
 sympy = pytest.importorskip("sympy")
 DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
@@ -125,30 +125,11 @@ def test_rational_products_match_sympy_on_wide_entries():
             assert det(A) == scalar_from_sympy(F, to_sympy(A).det())
 
 
-def matrix_of_rank(rng, F, n, r):
-    """L * D * U with unit lower and upper triangular L, U and D the
-    diagonal matrix of r ones, then n - r zeros: rank exactly r."""
-    p = F.characteristic()
-
-    def entry():
-        return Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if p == 0 \
-            else rng.randrange(p)
-
-    def unit(lower):
-        return Matrix(F, [[1 if i == j else entry() if (i > j) == lower
-                           else 0 for j in range(n)] for i in range(n)],
-                      cols=n)
-
-    D = Matrix(F, [[int(i == j < r) for j in range(n)] for i in range(n)],
-               cols=n)
-    return unit(True).mul(D).mul(unit(False))
-
-
 @pytest.mark.parametrize("F", FIELDS, ids=repr)
 def test_adjugate_matches_sympy(F):
-    """Regular inputs, rank n - 1 (adjugate of rank one) and ranks below
-    n - 1 (adjugate zero) for n = 0..8, through both the cofactor path
-    (n <= 6 and singular inputs) and the det * inverse path."""
+    """All three rank cases for n = 0..8: full rank (det * inverse),
+    rank n - 1 (the rank-one adjugate c * x * y^t) and ranks below n - 1
+    (the zero matrix)."""
     rng = random.Random(47 + F.characteristic())
     for n in range(9):
         for rank_ in range(max(n - 3, 0), n + 1):
