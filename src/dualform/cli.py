@@ -14,7 +14,7 @@ from .dual import double_dual_check, dualize, linked_coset, linked_forms
 from .errors import (AlgebraError, ParseError, RadicalConditionViolated,
                      ValidationError)
 from .fields import make_field
-from .linalg import Matrix, adjugate, det
+from .linalg import Matrix, adjugate, dot
 from .normal import char2_normal_form, diagonalize
 from .quadform import MetricSpace, QuadraticForm
 from .similarity import LinearMap, theorem_psi_check
@@ -32,6 +32,8 @@ def _load_json(text):
                          f"column {exc.colno}: {exc.msg}")
     except ValueError:  # an int literal over the int/str digit limit
         raise ParseError("invalid JSON: integer literal has too many digits")
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply")
 
 
 def _is_int(x):
@@ -269,9 +271,12 @@ def _cmd_adjugate(doc, args, field):
         raise ValidationError("M must be a square matrix")
     M = Matrix(field, [[_parse_scalar(field, x, "M") for x in row]
                        for row in rows], cols=len(rows))
+    adj = adjugate(M)
+    # adj * M = det * I, so det is entry (0, 0) of that product
+    d = dot(field, adj.row(0), M.column(0)) if M.rows else field.one
     return {
-        "det": field.format(det(M)),
-        "adjugate": _fmt_mat(adjugate(M)),
+        "det": field.format(d),
+        "adjugate": _fmt_mat(adj),
     }
 
 

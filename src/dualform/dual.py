@@ -75,8 +75,12 @@ def adapted_basis(inst):
     """Deterministic adapted basis for an instance.
 
     If the instance's own s_basis is already radical-first it is reused;
-    otherwise the radical's canonical rows are completed inside S and then
-    the S-basis is completed to F^n with standard basis vectors.
+    otherwise the radical's canonical rows are completed inside S with
+    S's canonical rows, by one d x m echelon, and their s_basis
+    coordinates come from the instance's span transform.  The S-basis is
+    then completed to F^n with standard basis vectors, by one m x n
+    echelon; neither completion builds a transform.  a^-1 is one more
+    elimination.
     """
     F = inst.field
     rad = inst.radical()
@@ -149,7 +153,7 @@ def dualize(inst):
     ab = adapted_basis(inst)
     d, m, n = ab.i2.start, ab.i3.start, inst.n
     t = m - d
-    inst_ad = inst.change_of_basis(ab.coords)
+    inst_ad = inst._change_of_basis(ab.coords)
     g22 = inst_ad.polar_gram().submatrix(ab.i2, ab.i2)
     g22_hat = invert_matrix(g22)
     a22 = inst_ad.form.matrix().submatrix(ab.i2, ab.i2)
@@ -171,7 +175,8 @@ def double_dual_check(inst):
     back = second.dual
     if back.subspace != inst.subspace:
         return False
-    back = back.change_of_basis(back.coords_matrix(inst.s_basis))
+    # inst.s_basis is a basis of back's S, so its coordinates are invertible
+    back = back._change_of_basis(back.coords_matrix(inst.s_basis))
     return back.form == inst.form and back.s_basis == inst.s_basis
 
 

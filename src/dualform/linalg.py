@@ -164,25 +164,31 @@ def combine(F, coeffs, rows, n):
         Matrix._trusted(F, rows[:k], n)).row(0)
 
 
-def rref(M):
-    """Reduced row echelon form.
+def _echelon(M, transform):
+    """The one elimination loop: rref, and without transform every rank,
+    kernel, span and completion question.  Returns (rows, pivots).
 
-    Returns (R, T, pivots) with R = T * M, T invertible and pivots the list
-    of pivot column indices in order.  The pivot of each column is its first
-    nonzero entry at or below the current row.  Each working row holds a row
-    of M followed by the same row of T.  Over GF(p) a row operation for
-    pivot column c starts at column c: the pivot row is zero before it.
-    Over the rationals a row is ints times an unstored rational scale, and
-    row_i -= (f / pv) * row_r becomes (pv * row_i - f * row_r) / gcd.  In
-    the end a pivot row is multiplied by the inverse of its pivot; any other
-    row is divided by its entry in its own column own[i] of T, whose value
-    stays 1 because no pivot row is nonzero there.
+    The pivot of each column is its first nonzero entry at or below the
+    current row.  With transform each working row holds a row of M
+    followed by the same row of T, and rows are all M.rows rows [R | T] of
+    rref; without it no T is built and rows are the len(pivots) nonzero
+    rows of R, the same as rref's.  Over GF(p) a row operation for pivot
+    column c starts at column c: the pivot row is zero before it.  Over
+    the rationals a row is ints times an unstored rational scale, and
+    row_i -= (f / pv) * row_r becomes (pv * row_i - f * row_r) / gcd; a row
+    may reduce to zero when T is not built, so only a gcd above 1 divides.
+    In the end a pivot row is multiplied by the inverse of its pivot; any
+    other row is divided by its entry in its own column own[i] of T, whose
+    value stays 1 because no pivot row is nonzero there.
     """
     F = M.field
     p, n, k = F.characteristic(), M.rows, M.cols
     rows, dens = (M.data, [1] * n) if p else _int_rows(M.data)
-    a = [list(row) + [d if i == j else 0 for j in range(n)]
-         for i, (row, d) in enumerate(zip(rows, dens))]
+    if transform:
+        a = [list(row) + [d if i == j else 0 for j in range(n)]
+             for i, (row, d) in enumerate(zip(rows, dens))]
+    else:
+        a = [list(row) for row in rows]
     own = list(range(n))
     pivots = []
     r = 0
@@ -207,23 +213,37 @@ def rref(M):
             else:
                 row = [pivot[c] * x - f * y for x, y in zip(a[i], pivot)]
                 g = gcd(*row)
-                a[i] = [x // g for x in row] if g != 1 else row
+                a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == n:
             break
+    if not transform:
+        del a[r:]
     if not p:
         for i, row in enumerate(a):
             inv = F.inv(row[pivots[i]]) if i < r else \
                 Fraction(1, row[k + own[i]])
             num, d = inv.numerator, inv.denominator  # inv = +-1/d
             a[i] = [Fraction(num * x, d) if x else F.zero for x in row]
+    return a, pivots
+
+
+def rref(M):
+    """Reduced row echelon form.
+
+    Returns (R, T, pivots) with R = T * M, T invertible and pivots the list
+    of pivot column indices in order, from one run of the echelon loop
+    with its transform; rows of R below the rank are zero.
+    """
+    F, k = M.field, M.cols
+    a, pivots = _echelon(M, True)
     return (Matrix._trusted(F, [row[:k] for row in a], k),
-            Matrix._trusted(F, [row[k:] for row in a], n), pivots)
+            Matrix._trusted(F, [row[k:] for row in a], M.rows), pivots)
 
 
 def rank(M):
-    return len(rref(M)[2])
+    return len(_echelon(M, False)[1])
 
 
 def det(M):
@@ -328,9 +348,8 @@ class Subspace:
     @classmethod
     def _span(cls, M):
         """Subspace spanned by the rows of M, which are canonical."""
-        R, _, pivots = rref(M) if M.rows else (M, None, ())
-        return cls(M.field, M.cols,
-                   Matrix._trusted(M.field, R.data[:len(pivots)], M.cols))
+        rows = _echelon(M, False)[0] if M.rows else ()
+        return cls(M.field, M.cols, Matrix._trusted(M.field, rows, M.cols))
 
     @classmethod
     def zero(cls, field, ambient_dim):
@@ -401,8 +420,8 @@ def _null_space(R, pivots):
 
 def kernel(M):
     """Solution space of M x = 0 as a Subspace of F^cols."""
-    R, _, pivots = rref(M)
-    return _null_space(R, pivots)
+    rows, pivots = _echelon(M, False)
+    return _null_space(Matrix._trusted(M.field, rows, M.cols), pivots)
 
 
 def solve(M, b):
@@ -425,32 +444,47 @@ def annihilator(T):
     return _null_space(T.basis, T.pivots)
 
 
-def _complete_basis(field, prefix_rows, candidates):
-    """The independent prefix rows, then each candidate outside the span of
-    the vectors before it: the pivot columns of one rref of the column
-    matrix [prefix | candidates]."""
-    vectors = list(prefix_rows) + list(candidates)
-    cols = Matrix._trusted(field, zip(*vectors), len(vectors))
-    return [cols.column(j) for j in rref(cols)[2]]
+def _kept_units(field, rows, k):
+    """Indices i, in order, of the unit vectors e_i of F^k that greedy
+    completion of the independent rows keeps: e_i, taken in index order,
+    is kept when it lies outside the span of the vectors before it.
+
+    They are the i that are not pivots of the rows' echelon form with the
+    columns read from the last one.  Proof: a skipped e_j lies in the span
+    before it, so the span before e_i is P + <e_0, ..., e_(i-1)>, with P
+    the span of the rows.  e_i lies in it exactly when some vector of P is
+    1 at i and 0 after i, that is when dropping coordinate i from P
+    restricted to the coordinates i, ..., k-1 has a nonzero kernel: when
+    that restriction has a larger rank than the one to i+1, ..., k-1.
+    Read from column k-1 down, these two ranks count the pivots up to and
+    before column i, so e_i is skipped exactly when i is a pivot.
+    """
+    rev = Matrix._trusted(field, [row[::-1] for row in rows], k)
+    pivots = set(_echelon(rev, False)[1])
+    return [i for i in range(k) if k - 1 - i not in pivots]
 
 
 def extend_basis(inner, outer):
     """Ordered basis of outer starting with inner's stored basis rows.
 
     Completion appends outer's canonical basis rows in order, keeping each
-    one that increases the rank.
+    one that increases the rank.  Over outer's rows, inner's rows have as
+    coordinates their entries at outer's pivots, so this is the completion
+    of those d x dim(outer) coordinate rows with unit vectors.
     """
     if inner.ambient_dim != outer.ambient_dim or inner.field != outer.field:
         raise NotNested("subspaces live in different ambient spaces")
-    if not inner.is_subspace_of(outer):
+    coords = inner.basis.submatrix(range(inner.dim), outer.pivots)
+    if coords.mul(outer.basis) != inner.basis:
         raise NotNested("inner is not contained in outer")
-    out = _complete_basis(inner.field, inner.basis.data, outer.basis.data)
-    assert len(out) == outer.dim
-    return out
+    kept = _kept_units(inner.field, coords.data, outer.dim)
+    return list(inner.basis.data) + [outer.basis.row(i) for i in kept]
 
 
 def complete_to_ambient(field, prefix_rows, ambient_dim):
     """Extend independent prefix rows to a basis of F^n with standard
     basis vectors in index order."""
-    return _complete_basis(field, prefix_rows,
-                           Matrix.identity(field, ambient_dim).data)
+    n = ambient_dim
+    eye = Matrix.identity(field, n)
+    return [tuple(row) for row in prefix_rows] + \
+        [eye.row(i) for i in _kept_units(field, prefix_rows, n)]

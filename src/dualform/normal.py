@@ -40,7 +40,7 @@ def diagonalize(inst):
         raise CharTwo("diagonalization requires characteristic != 2")
     m = inst.m
     T1, d = _radical_first_transform(inst)
-    work = inst.change_of_basis(T1)
+    work = inst._change_of_basis(T1)
     # Coordinate columns of the evolving basis, radical part fixed.
     eye = Matrix.identity(F, m)
     cols = [list(eye.row(j)) for j in range(m)]
@@ -72,7 +72,7 @@ def diagonalize(inst):
             f = F.div(b(cols[k], cols[l]), pk)
             cols[l] = list(vec_sub(F, cols[l], vec_scale(F, f, cols[k])))
     T = T1.mul(Matrix._trusted(F, zip(*cols), m))
-    return NormalFormResult(T, inst.change_of_basis(T), DIAGONAL)
+    return NormalFormResult(T, inst._change_of_basis(T), DIAGONAL)
 
 
 def char2_normal_form(inst):
@@ -85,7 +85,7 @@ def char2_normal_form(inst):
             "form does not vanish on the radical")
     m = inst.m
     T1, d = _radical_first_transform(inst)
-    work = inst.change_of_basis(T1)
+    work = inst._change_of_basis(T1)
     b = work.eval_b
     eye = Matrix.identity(F, m)
     remaining = [list(eye.row(j)) for j in range(d, m)]
@@ -111,5 +111,5 @@ def char2_normal_form(inst):
         vs.append(v)
     cols = [list(eye.row(j)) for j in range(d)] + us + vs[::-1]
     T = T1.mul(Matrix._trusted(F, zip(*cols), m))
-    return NormalFormResult(T, inst.change_of_basis(T),
+    return NormalFormResult(T, inst._change_of_basis(T),
                             MINOR_DIAGONAL_CHAR2)

@@ -79,12 +79,16 @@ class MetricSpace:
     The form coefficients refer to s_basis, an ordered basis of S that need
     not coincide with the canonical RREF basis stored in the subspace.
 
-    An instance is immutable: its radical and its coordinate solver are
-    each computed once, on first use, so mutating s_basis or form after
-    construction is unsupported.
+    An instance is immutable, so mutating s_basis or form after
+    construction is unsupported.  It memoizes two derived facts: its
+    radical, computed on first use, and the span transform T of the rref
+    of the s_basis rows, whose row i holds the s_basis coordinates of the
+    i-th canonical row of S.  The constructor keeps T from the rref that
+    builds the subspace; an instance whose subspace is given, as the
+    internal ones are, runs that rref on its first coordinate question.
     """
 
-    __slots__ = ("field", "n", "subspace", "s_basis", "form", "_solver",
+    __slots__ = ("field", "n", "subspace", "s_basis", "form", "_span_t",
                  "_radical")
 
     def __init__(self, field, n, s_basis, form, subspace=None):
@@ -95,8 +99,12 @@ class MetricSpace:
         for row in self.s_basis:
             if len(row) != n:
                 raise LengthMismatch("basis vector length != n")
+        self._span_t = None
         if subspace is None:
-            subspace = Subspace._span(Matrix._trusted(field, self.s_basis, n))
+            R, self._span_t, pivots = rref(
+                Matrix._trusted(field, self.s_basis, n))
+            subspace = Subspace(field, n, Matrix._trusted(
+                field, R.data[:len(pivots)], n))
         self.subspace = subspace
         if subspace.dim != len(self.s_basis):
             raise LengthMismatch("s_basis is linearly dependent")
@@ -105,7 +113,6 @@ class MetricSpace:
         if form.field != field:
             raise LengthMismatch("form defined over a different field")
         self.form = form
-        self._solver = None
         self._radical = None
 
     @classmethod
@@ -114,7 +121,7 @@ class MetricSpace:
         self = object.__new__(cls)
         self.field, self.n, self.s_basis = field, n, tuple(s_basis)
         self.subspace, self.form = subspace, form
-        self._solver = self._radical = None
+        self._span_t = self._radical = None
         return self
 
     @property
@@ -130,20 +137,21 @@ class MetricSpace:
         """m x k matrix whose j-th column holds the s_basis coordinates of
         vectors[j]; NotInSubspace if one of them lies outside S.
 
-        With T from one rref of the s_basis columns, T * v holds v's
-        coordinates in its first m rows and zeros below exactly when v lies
-        in S.
+        A vector v of S is sum_i v[p_i] R_i over the canonical rows R_i of
+        S with pivots p_i, and R_i = sum_j T[i][j] s_basis_j for the span
+        transform T, so v's coordinates are T^t (v[p_i])_i.  Recombining the
+        canonical rows tests membership.
         """
-        F, m, n = self.field, self.m, self.n
+        F, n = self.field, self.n
         if any(len(v) != n for v in vectors):
             raise LengthMismatch("vector length != n")
-        if self._solver is None:
-            self._solver = rref(
-                Matrix._trusted(F, self.s_basis, n).transpose())[1]
-        C = self._solver.mul(Matrix(F, vectors, cols=n).transpose())
-        if any(map(any, C.data[m:])):
+        V = Matrix(F, vectors, cols=n)
+        P = V.submatrix(range(V.rows), self.subspace.pivots)
+        if P.mul(self.subspace.basis) != V:
             raise NotInSubspace("vector outside S")
-        return C.submatrix(range(m), range(len(vectors)))
+        if self._span_t is None:
+            self._span_t = rref(Matrix._trusted(F, self.s_basis, n))[1]
+        return P.mul(self._span_t).transpose()
 
     def from_coords(self, coords):
         """Ambient vector with the given s_basis coordinates."""
@@ -216,11 +224,17 @@ class MetricSpace:
         diagonal is M's diagonal and the new polar coefficients are
         M[i][j] + M[j][i], exactly so in every characteristic.
         """
-        F, m, p = self.field, self.m, self.field.characteristic()
+        m = self.m
         if T.rows != m or T.cols != m:
             raise LengthMismatch("change of basis must be m x m")
         if rank(T) != m:
             raise Singular("change of basis matrix is singular")
+        return self._change_of_basis(T)
+
+    def _change_of_basis(self, T):
+        """change_of_basis without its shape and rank checks, for callers
+        whose m x m T is invertible by construction."""
+        F, m, p = self.field, self.m, self.field.characteristic()
         Tt = T.transpose()
         M = Tt.mul(self.form.matrix()).mul(T).data
         new_basis = Tt.mul(Matrix._trusted(F, self.s_basis, self.n)).data

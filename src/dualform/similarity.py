@@ -64,7 +64,8 @@ def verify_similarity(inst, psi, c):
     form = inst.form
     scaled = QuadraticForm(F, [F.mul(c, x) for x in form.diag],
                            {k: F.mul(c, v) for k, v in form.upper.items()})
-    return inst.change_of_basis(images).form == scaled
+    # psi is injective and maps S into S, so images is invertible
+    return inst._change_of_basis(images).form == scaled
 
 
 class SimilarityReport:

@@ -126,19 +126,32 @@ def matrix_of_rank(rng, F, n, r):
     return unit(True).mul(D).mul(unit(False))
 
 
-def record_calls(monkeypatch, raw):
-    """Rebind the dualform function raw in every dualform module that
+def record_calls(monkeypatch, *raws):
+    """Rebind each dualform function in raws in every dualform module that
     imported it by name, so calls from any module are seen; returns the
-    list that receives the (rows, cols) shape of each call's matrix."""
+    list that receives (name, rows, cols) for each call, with the shape of
+    its matrix.  A call made inside another recorded call is not counted
+    again: recording rref and the echelon loop _echelon, which rref runs,
+    counts every elimination once."""
     calls = []
+    active = []
 
-    def recording(M):
-        calls.append((M.rows, M.cols))
-        return raw(M)
+    def recorder(raw):
+        def recording(M, *args):
+            if not active:
+                calls.append((raw.__name__, M.rows, M.cols))
+            active.append(raw)
+            try:
+                return raw(M, *args)
+            finally:
+                active.pop()
+        return recording
 
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "dualform":
-            for attr, value in list(vars(mod).items()):
-                if value is raw:
-                    monkeypatch.setattr(mod, attr, recording)
+    for raw in raws:
+        wrapper = recorder(raw)
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "dualform":
+                for attr, value in list(vars(mod).items()):
+                    if value is raw:
+                        monkeypatch.setattr(mod, attr, wrapper)
     return calls

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from dualform import ValidationError, cli
+from dualform import (Matrix, ValidationError, adjugate, cli, det, linalg,
+                      rank)
 from dualform.cli import MAX_DIM, main, parse_problem
 from helpers import FQ
 
@@ -257,6 +258,54 @@ def test_invalid_utf8_is_an_error_line(capsys, monkeypatch, tmp_path, source):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_deep_nesting_is_an_error_line(capsys, tmp_path):
+    """100000 nested lists exhaust the JSON decoder's recursion limit."""
+    path = tmp_path / "input.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(capsys, "radical", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field, rows, det_out", [
+    ("rational", [["1/2", "2", "0"], ["3", "-1", "4"], ["0", "5", "7/3"]],
+     "-151/6"),
+    ({"kind": "prime", "p": 7}, [["1", "2", "0"], ["3", "6", "4"],
+                                 ["0", "5", "2"]], "1"),
+    ("rational", [["1", "2"], ["2", "4"]], "0"),
+    ("rational", [["1", "2", "3"], ["2", "4", "6"], ["0", "0", "0"]], "0"),
+    ("rational", [], "1"),
+], ids=["rational", "gf7", "corank-1", "corank-2", "empty"])
+def test_adjugate_command_computes_det_once(capsys, monkeypatch, tmp_path,
+                                            field, rows, det_out):
+    """det is read off the adjugate's first row: the command computes only
+    the adjugate's own determinant (none below rank n - 1), and prints
+    the same bytes as det and adjugate computed separately."""
+    dets = []
+
+    def counting(M):
+        dets.append((M.rows, M.cols))
+        return det(M)
+
+    monkeypatch.setattr(linalg, "det", counting)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"field": field, "M": rows}))
+    code, out, err = run_cli(capsys, "adjugate", str(path))
+    assert (code, err) == (0, "")
+    F = cli._field_from_doc(field)
+    M = Matrix(F, [[F.parse(x) for x in row] for row in rows],
+               cols=len(rows))
+    assert len(dets) == int(rank(M) >= M.rows - 1)
+    monkeypatch.undo()
+    assert det(M) == F.parse(det_out)
+    expected = {"det": det_out,
+                "adjugate": [[F.format(x) for x in row]
+                             for row in adjugate(M).data]}
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
 def test_oversized_int_literal_is_an_error_line(capsys, tmp_path):
     """An int literal over Python's int/str digit limit; written as text,
     because json.dumps cannot write that int either."""
@@ -281,7 +330,7 @@ def test_runaway_size_is_refused_before_any_work(capsys, monkeypatch,
     def trap(*args):
         pytest.fail("computation started on a runaway size")
 
-    for name in ("dualize", "adjugate", "det"):
+    for name in ("dualize", "adjugate", "dot"):
         monkeypatch.setattr(cli, name, trap)
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

@@ -13,7 +13,7 @@ from dualform.cli import parse_problem
 from dualform.linalg import dot, vec_add, vec_scale
 from helpers import (ALL_FIELDS, F2, F3, F5, FQ, hyperbolic_gf2, paper5,
                      rad_char2, random_instance_with_condition, random_scalar,
-                     random_vector, record_calls)
+                     random_subspace_basis, random_vector, record_calls)
 
 
 def random_s_hat_vector(rng, dres):
@@ -291,22 +291,48 @@ class TestConverseRelation:
             assert converse_relation_check(inst, pairs) is True
 
 
-@pytest.mark.parametrize("fixture, first, again", [("paper5.json", 9, 6),
-                                                  ("hyp_gf2.json", 6, 5)])
+def _gf3_not_radical_first():
+    """n = 24 over GF(3), dim S = 18: the coefficients touching the last
+    three s_basis vectors vanish, so the radical sits at the end of
+    s_basis, not at its start."""
+    rng = random.Random(24)
+    n, m, d = 24, 18, 3
+    rows = random_subspace_basis(rng, F3, n, m)
+    diag = [random_scalar(rng, F3) for _ in range(m - d)] + [0] * d
+    upper = {(i, j): random_scalar(rng, F3)
+             for i in range(m - d) for j in range(i + 1, m - d)}
+    return MetricSpace(F3, n, rows, QuadraticForm(F3, diag, upper))
+
+
+@pytest.mark.parametrize("fixture, first, again", [("paper5.json", 8, 5),
+                                                  ("hyp_gf2.json", 5, 4),
+                                                  ("gf3-n24", 9, 6)])
 def test_dualize_elimination_count(monkeypatch, fixture, first, again):
-    """Guard against redundant eliminations: rref is rebound in every
-    dualform module that imported it by name, so calls from any module
-    are counted.  A second dualize reuses the memoized radical."""
-    path = os.path.join(os.path.dirname(__file__), "fixtures", fixture)
-    with open(path) as fh:
-        inst = parse_problem(fh.read())
-    calls = record_calls(monkeypatch, linalg.rref)
+    """Guard against redundant eliminations: rref and the echelon loop it
+    shares with the T-free callers are rebound in every dualform module
+    that imported them by name, so every elimination is counted once,
+    from any module.  Only the two inverses build a transform.  A second
+    dualize reuses the memoized radical."""
+    if fixture == "gf3-n24":
+        inst = _gf3_not_radical_first()
+        rad = inst.radical()
+        assert rad.dim >= 3
+        assert not all(rad.subspace.contains(b)
+                       for b in inst.s_basis[:rad.dim])
+        inst = _gf3_not_radical_first()
+    else:
+        path = os.path.join(os.path.dirname(__file__), "fixtures", fixture)
+        with open(path) as fh:
+            inst = parse_problem(fh.read())
+    calls = record_calls(monkeypatch, linalg.rref, linalg._echelon)
     dualize(inst)
     assert len(calls) == first, calls
+    assert [c[0] for c in calls].count("rref") == 2, calls
     assert inst.radical() is inst.radical()
     del calls[:]
     dualize(inst)
     assert len(calls) == again, calls
+    assert [c[0] for c in calls].count("rref") == 2, calls
 
 
 @pytest.mark.parametrize("fixture", ["paper5.json", "hyp_gf2.json"])

@@ -7,7 +7,7 @@ from dualform import (Matrix, NotNested, Singular, Subspace, adjugate,
                       annihilator, det, extend_basis, invert_matrix, kernel,
                       make_field, rank, rref, solve)
 from dualform import fields, linalg
-from dualform.linalg import _complete_basis, combine, complete_to_ambient
+from dualform.linalg import _echelon, combine, complete_to_ambient
 from helpers import (FQ, F2, F3, matrix_of_rank, random_subspace_basis,
                      random_vector, record_calls, wide_rational_matrix,
                      wide_shapes)
@@ -222,7 +222,7 @@ def test_adjugate_eliminates_once(monkeypatch, F, n):
     """adjugate reads every rank case off one rref: full rank and rank
     n - 1 add one determinant each, lower ranks none."""
     rng = random.Random(n)
-    rrefs = record_calls(monkeypatch, linalg.rref)
+    rrefs = record_calls(monkeypatch, linalg.rref, linalg._echelon)
     dets = record_calls(monkeypatch, linalg.det)
     for r in sorted({n, n - 1, max(n - 2, 0), 0}):
         M = matrix_of_rank(rng, F, n, r)
@@ -244,24 +244,55 @@ def _greedy_completion(F, prefix, candidates):
 
 @pytest.mark.parametrize("F", [FQ, F2, F3], ids=repr)
 def test_one_rref_completion_matches_greedy(F):
+    """Both completions, one T-free echelon each, keep what greedy
+    completion keeps, for prefixes of every dimension from 0 to n."""
     rng = random.Random(F.characteristic() + 71)
     for trial in range(40):
         n = rng.randint(1, 6)
-        m = 0 if trial == 0 else rng.randint(0, n)
+        m = (0, n)[trial] if trial < 2 else rng.randint(0, n)
         prefix = random_subspace_basis(rng, F, n, m)
         assert complete_to_ambient(F, prefix, n) == \
             _greedy_completion(F, prefix, Matrix.identity(F, n).data)
-        # Candidates with repeats, zero rows and combinations of the prefix.
+        # outer spanned by the prefix and candidates with repeats, zero
+        # rows and combinations of the prefix
         pool = prefix + [random_vector(rng, F, n) for _ in range(2)]
         cands = [rng.choice(pool) if pool and rng.random() < 0.5
                  else random_vector(rng, F, n) for _ in range(n + 2)]
         cands.append((F.zero,) * n)
         outer = Subspace.from_rows(F, n, prefix + cands)
-        inner = Subspace.from_rows(F, n, prefix)
-        assert extend_basis(inner, outer) == _greedy_completion(
-            F, inner.basis.data, outer.basis.data)
-        assert _complete_basis(F, prefix, cands) == \
-            _greedy_completion(F, prefix, cands)
+        for inner in (Subspace.from_rows(F, n, prefix), Subspace.zero(F, n),
+                      outer):
+            assert extend_basis(inner, outer) == _greedy_completion(
+                F, inner.basis.data, outer.basis.data)
+
+
+@pytest.mark.parametrize("F", [FQ, F2, F3, make_field("prime", 2**31 - 1)],
+                         ids=repr)
+def test_echelon_without_transform_matches_rref(F):
+    """Without T the echelon loop returns rref's nonzero rows of R and its
+    pivots: on 0-row and 0-column shapes, on wide rational entries and on
+    rank-deficient inputs, whose dependent rows reduce to zero (gcd 0 over
+    the rationals)."""
+    rng = random.Random(F.characteristic() + 137)
+    deficient = 0
+    for rows, cols in wide_shapes(rng, 60) + [(3, 2), (4, 4)]:
+        if F is FQ:
+            M = wide_rational_matrix(rng, rows, cols)
+        else:
+            data = [random_vector(rng, F, cols) for _ in range(rows)]
+            M = Matrix(F, data, cols=cols)
+        if rows > 1 and rng.random() < 0.5:
+            M = Matrix(F, M.data[:-1] + M.data[:1], cols=cols)
+        R, _, pivots = rref(M)
+        ech, ech_pivots = _echelon(M, False)
+        assert ech_pivots == pivots
+        assert [tuple(row) for row in ech] == list(R.data[:len(pivots)])
+        assert all(type(x) is type(F.zero) for row in ech for x in row)
+        deficient += len(pivots) < rows
+    assert deficient > 10
+    # every row below the first reduces to zero
+    M = Matrix(F, [[1, 2, 3], [2, 4, 6], [3, 6, 9], [0, 0, 0]])
+    assert _echelon(M, False) == ([list(rref(M)[0].row(0))], [0])
 
 
 @pytest.mark.parametrize("F", [FQ, F2, F3], ids=repr)

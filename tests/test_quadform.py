@@ -219,17 +219,34 @@ def test_change_of_basis_matches_pairwise_polar_table(F):
 
 @pytest.mark.parametrize("F", [FQ, F2, F3], ids=repr)
 def test_cached_coords_of_matches_solve(F):
+    """The public constructor keeps the span transform of its rref; a
+    change_of_basis result computes it on its first coordinate question
+    and keeps it.  On both, coordinates match solve and a set with a
+    vector outside S is rejected."""
     rng = random.Random(F.characteristic() + 101)
     empty = MetricSpace(F, 3, [], QuadraticForm(F, [], {}))
+    outside_seen = 0
     for inst in [empty] + [random_instance(rng, F) for _ in range(40)]:
-        cols = Matrix(F, inst.s_basis, cols=inst.n).transpose()
-        inside = inst.from_coords(random_vector(rng, F, inst.m))
-        for vec in (inside, random_vector(rng, F, inst.n)):
-            sol = solve(cols, vec)
-            if sol is None:
-                with pytest.raises(NotInSubspace):
-                    inst.coords_of(vec)
-            else:
-                assert inst.coords_of(vec) == sol[0]
-        assert inst.coords_matrix([inside, inside]).column(1) == \
-            inst.coords_of(inside)
+        changed = inst.change_of_basis(_random_invertible(rng, F, inst.m))
+        assert inst._span_t is not None and changed._span_t is None
+        for ms in (inst, changed):
+            cols = Matrix(F, ms.s_basis, cols=ms.n).transpose()
+            inside = ms.from_coords(random_vector(rng, F, ms.m))
+            for vec in (inside, random_vector(rng, F, ms.n)):
+                sol = solve(cols, vec)
+                if sol is None:
+                    outside_seen += 1
+                    with pytest.raises(NotInSubspace):
+                        ms.coords_of(vec)
+                    with pytest.raises(NotInSubspace):
+                        ms.coords_matrix([inside, vec])
+                else:
+                    assert ms.coords_of(vec) == sol[0]
+            span_t = ms._span_t
+            C = ms.coords_matrix([inside] + list(ms.s_basis))
+            assert C.column(0) == ms.coords_of(inside)
+            assert C.submatrix(range(ms.m), range(1, ms.m + 1)) == \
+                Matrix.identity(F, ms.m)
+            assert ms.coords_matrix([]).cols == 0
+            assert ms._span_t is span_t
+    assert outside_seen > 20
