@@ -328,18 +328,21 @@ def run(args):
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
     override = _field_from_flag(args.field) if args.field else None
+    doc = None
     if getattr(args, "half_gram", False):
         probe = override
         if probe is None:
-            probe = _field_from_doc(_document(_load_json(text)).get("field"))
+            doc = _document(_load_json(text))
+            probe = _field_from_doc(doc.get("field"))
         if probe.characteristic() == 2:
             raise ValidationError("--half-gram requires characteristic != 2")
-    if args.command == "adjugate":
+    if doc is None:
         doc = _document(_load_json(text))
+    if args.command == "adjugate":
         field = override or _field_from_doc(doc.get("field"))
         out = _cmd_adjugate(doc, args, field)
     else:
-        inst = parse_problem(text, field_override=override)
+        inst = parse_problem(doc, field_override=override)
         out = _COMMANDS[args.command](inst, args)
     payload = json.dumps(out, indent=2) + "\n"
     if args.output:

@@ -129,11 +129,12 @@ def linked_coset(inst, f_star):
 
 
 def linked_forms(inst, s):
-    """All forms linked to the vector s: a representative plus ann(S)."""
+    """Forms linked to s: a representative from G coords(s), plus ann(S)."""
     F = inst.field
     coords = inst.coords_of(s)
     ab = adapted_basis(inst)
-    vals = [inst.eval_b(coords, ab.coords.column(j)) for j in range(inst.m)]
+    vals = combine(F, inst.polar_gram().mul_vec(coords), ab.coords.data,
+                   inst.m)
     rep = combine(F, vals, ab.a_inv.data, inst.n)
     return LinkedCoset(rep, annihilator(inst.subspace))
 

@@ -5,13 +5,18 @@ pivot via b_i <- b_i + b_j whenever the remaining diagonal is all zero.
 Characteristic 2: greedy symplectic pairing, then the pairs are laid out so
 the Gram block carries ones exactly on its minor (anti-) diagonal.
 
-Both transforms leave the radical prefix untouched, so the result's first d
-basis vectors span the radical.
+Both run on one array of rows [G | C]: row i of C holds the s_basis
+coordinates of basis vector b_i, starting from the radical-first
+completion, and G is the polar Gram matrix on the b_i.  The step
+b_i <- b_i + f b_j adds f times row j to row i, then f times column j of G
+to column i; a swap exchanges two rows and the same two columns of G.
+Each pivot test reads one entry of G and each step costs O(m), so a normal
+form costs O(m^3); its transform T is C transposed.  The radical prefix is
+never touched, so the result's first d basis vectors span the radical.
 """
 
 from .errors import CharTwo, NotCharTwo, RadicalConditionViolated
-from .linalg import (Matrix, complete_to_ambient, vec_add, vec_scale,
-                     vec_sub)
+from .linalg import Matrix, _canon, complete_to_ambient
 
 DIAGONAL = "diagonal"
 MINOR_DIAGONAL_CHAR2 = "minor-diagonal-char2"
@@ -26,90 +31,77 @@ class NormalFormResult:
         self.kind = kind
 
 
-def _radical_first_transform(inst):
-    """m x m matrix whose columns are a radical-first coordinate basis."""
+def _gram_array(inst):
+    """Rows [G | C] for the radical-first basis, and the radical's dim."""
+    F, m = inst.field, inst.m
     rad = inst.radical()
-    cols = complete_to_ambient(inst.field, rad.in_domain.basis.data, inst.m)
-    return Matrix._trusted(inst.field, zip(*cols), inst.m), rad.dim
+    C = Matrix._trusted(
+        F, complete_to_ambient(F, rad.in_domain.basis.data, m), m)
+    G = C.mul(inst.polar_gram()).mul(C.transpose())
+    return [list(g + c) for g, c in zip(G.data, C.data)], rad.dim
+
+
+def _add(a, i, j, f, p):
+    """b_i <- b_i + f b_j on [G | C] over GF(p), or the rationals at p = 0."""
+    a[i] = list(_canon(p, [x + f * y if y else x
+                           for x, y in zip(a[i], a[j])]))
+    column = _canon(p, [row[i] + f * row[j] if row[j] else row[i]
+                        for row in a])
+    for row, x in zip(a, column):
+        row[i] = x
+
+
+def _result(inst, a, order, kind):
+    m = inst.m
+    T = Matrix._trusted(inst.field, zip(*[a[i][m:] for i in order]), m)
+    return NormalFormResult(T, inst._change_of_basis(T), kind)
 
 
 def diagonalize(inst):
     """Diagonal congruence normal form (characteristic != 2)."""
-    F = inst.field
-    if F.characteristic() == 2:
+    F, p = inst.field, inst.field.characteristic()
+    if p == 2:
         raise CharTwo("diagonalization requires characteristic != 2")
     m = inst.m
-    T1, d = _radical_first_transform(inst)
-    work = inst._change_of_basis(T1)
-    # Coordinate columns of the evolving basis, radical part fixed.
-    eye = Matrix.identity(F, m)
-    cols = [list(eye.row(j)) for j in range(m)]
-    b = work.eval_b
+    a, d = _gram_array(inst)
     for k in range(d, m):
-        pivot = None
-        for l in range(k, m):
-            if not F.is_zero(b(cols[l], cols[l])):
-                pivot = l
-                break
-        if pivot is None:
-            found = None
-            for i in range(k, m):
-                for j in range(i + 1, m):
-                    if not F.is_zero(b(cols[i], cols[j])):
-                        found = (i, j)
-                        break
-                if found:
-                    break
-            if found is None:
-                break  # remaining block is zero; cannot happen off radical
-            i, j = found
-            cols[i] = list(vec_add(F, cols[i], cols[j]))
-            pivot = i
-        if pivot != k:
-            cols[k], cols[pivot] = cols[pivot], cols[k]
-        pk = b(cols[k], cols[k])
+        pivot = next((l for l in range(k, m) if a[l][l]), None)
+        if pivot is None:  # the block is non-degenerate: some G[i][j] != 0
+            pivot, j = next((i, j) for i in range(k, m)
+                            for j in range(i + 1, m) if a[i][j])
+            _add(a, pivot, j, 1, p)
+        a[k], a[pivot] = a[pivot], a[k]
+        for row in a:
+            row[k], row[pivot] = row[pivot], row[k]
+        inv = F.inv(a[k][k])
         for l in range(k + 1, m):
-            f = F.div(b(cols[k], cols[l]), pk)
-            cols[l] = list(vec_sub(F, cols[l], vec_scale(F, f, cols[k])))
-    T = T1.mul(Matrix._trusted(F, zip(*cols), m))
-    return NormalFormResult(T, inst._change_of_basis(T), DIAGONAL)
+            if a[k][l]:
+                _add(a, l, k, -a[k][l] * inv, p)
+    return _result(inst, a, range(m), DIAGONAL)
 
 
 def char2_normal_form(inst):
     """Minor-diagonal alternating normal form (characteristic 2)."""
-    F = inst.field
-    if F.characteristic() != 2:
+    if inst.field.characteristic() != 2:
         raise NotCharTwo("this normal form requires characteristic 2")
     if not inst.radical_condition_holds():
         raise RadicalConditionViolated(
             "form does not vanish on the radical")
-    m = inst.m
-    T1, d = _radical_first_transform(inst)
-    work = inst._change_of_basis(T1)
-    b = work.eval_b
-    eye = Matrix.identity(F, m)
-    remaining = [list(eye.row(j)) for j in range(d, m)]
+    a, d = _gram_array(inst)
+    remaining = list(range(d, inst.m))
     us, vs = [], []
     while remaining:
         u = remaining.pop(0)
-        v_idx = None
-        for idx, w in enumerate(remaining):
-            if not F.is_zero(b(u, w)):
-                v_idx = idx
-                break
-        assert v_idx is not None  # block is non-degenerate
-        v = remaining.pop(v_idx)
-        v = list(vec_scale(F, F.inv(b(u, v)), v))
-        fixed = []
+        # the block is non-degenerate, so u pairs with a later vector v
+        v = remaining.pop(next(k for k, w in enumerate(remaining) if a[u][w]))
+        # GF(2) is make_field's only characteristic-2 field: B(u, v) = 1
         for w in remaining:
-            cu, cv = b(u, w), b(v, w)
-            w = vec_add(F, w, vec_scale(F, cu, v))
-            w = vec_add(F, w, vec_scale(F, cv, u))
-            fixed.append(list(w))
-        remaining = fixed
+            cu, cv = a[u][w], a[v][w]
+            if cu:
+                _add(a, w, v, cu, 2)
+            if cv:
+                _add(a, w, u, cv, 2)
         us.append(u)
         vs.append(v)
-    cols = [list(eye.row(j)) for j in range(d)] + us + vs[::-1]
-    T = T1.mul(Matrix._trusted(F, zip(*cols), m))
-    return NormalFormResult(T, inst._change_of_basis(T),
-                            MINOR_DIAGONAL_CHAR2)
+    return _result(inst, a, list(range(d)) + us + vs[::-1],
+                   MINOR_DIAGONAL_CHAR2)

@@ -8,8 +8,8 @@ values.
 """
 
 from .errors import LengthMismatch, NotInSubspace, Singular
-from .linalg import (Matrix, Subspace, _canon, combine, kernel, rank, rref,
-                     vec_add)
+from .linalg import (Matrix, Subspace, _canon, combine, dot, kernel, rank,
+                     rref, vec_add)
 
 
 class QuadraticForm:
@@ -207,15 +207,14 @@ class MetricSpace:
 
         Vacuous in characteristic != 2.  Over GF(p) and the rationals the
         zero set of the form restricted to the radical is a subspace, so
-        checking a basis is complete.
+        checking a basis R is complete: Q(r) = r^t A r for A = form.matrix().
         """
-        if self.field.characteristic() != 2:
+        F = self.field
+        if F.characteristic() != 2:
             return True
-        rad = self.radical()
-        for i in range(rad.in_domain.dim):
-            if not self.field.is_zero(self.eval_q(rad.in_domain.basis.row(i))):
-                return False
-        return True
+        R = self.radical().in_domain.basis
+        return not any(dot(F, r, ra) for r, ra in
+                       zip(R.data, R.mul(self.form.matrix()).data))
 
     def change_of_basis(self, T):
         """Re-express the form on the basis b'_j = sum_i T[i][j] b_i.

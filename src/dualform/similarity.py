@@ -7,9 +7,9 @@ the plain matrix transpose.
 """
 
 from .dual import dualize, linked_forms
-from .errors import (IsotropicVector, NotInSubspace, RadicalConditionViolated,
-                     ZeroRatio)
-from .linalg import Matrix, invert_matrix, vec_scale, vec_sub
+from .errors import (IsotropicVector, LengthMismatch, NotInSubspace,
+                     RadicalConditionViolated, Singular, ZeroRatio)
+from .linalg import Matrix, rank, vec_scale, vec_sub
 from .quadform import QuadraticForm
 
 
@@ -19,7 +19,10 @@ class LinearMap:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        invert_matrix(matrix)  # raises Singular when not bijective
+        if matrix.rows != matrix.cols:
+            raise LengthMismatch("linear map matrix must be square")
+        if rank(matrix) != matrix.rows:
+            raise Singular("linear map is not bijective")
         self.matrix = matrix
 
     @property

@@ -155,3 +155,70 @@ def record_calls(monkeypatch, *raws):
                     if value is raw:
                         monkeypatch.setattr(mod, attr, wrapper)
     return calls
+
+
+def _radical_first_transform(inst):
+    """m x m matrix whose columns are a radical-first coordinate basis."""
+    from dualform.linalg import complete_to_ambient
+    rad = inst.radical()
+    cols = complete_to_ambient(inst.field, rad.in_domain.basis.data, inst.m)
+    return Matrix(inst.field, list(zip(*cols)), cols=inst.m), rad.dim
+
+
+def pairwise_diagonalize(inst):
+    """Reference diagonalization: the same pivot rules as
+    normal.diagonalize, with every test an eval_b on two coordinate
+    columns of the evolving basis.  Returns (T, normalized)."""
+    from dualform.linalg import vec_add, vec_scale, vec_sub
+    F, m = inst.field, inst.m
+    T1, d = _radical_first_transform(inst)
+    b = inst.change_of_basis(T1).eval_b
+    cols = [list(Matrix.identity(F, m).row(j)) for j in range(m)]
+    for k in range(d, m):
+        pivot = next((l for l in range(k, m)
+                      if not F.is_zero(b(cols[l], cols[l]))), None)
+        if pivot is None:
+            found = next(((i, j) for i in range(k, m)
+                          for j in range(i + 1, m)
+                          if not F.is_zero(b(cols[i], cols[j]))), None)
+            if found is None:
+                break
+            i, j = found
+            cols[i] = list(vec_add(F, cols[i], cols[j]))
+            pivot = i
+        cols[k], cols[pivot] = cols[pivot], cols[k]
+        pk = b(cols[k], cols[k])
+        for l in range(k + 1, m):
+            f = F.div(b(cols[k], cols[l]), pk)
+            cols[l] = list(vec_sub(F, cols[l], vec_scale(F, f, cols[k])))
+    T = T1.mul(Matrix(F, list(zip(*cols)), cols=m))
+    return T, inst.change_of_basis(T)
+
+
+def pairwise_char2_normal_form(inst):
+    """Reference minor-diagonal form in characteristic 2: greedy pairing
+    with eval_b on coordinate columns, v rescaled by B(u, v)^-1.  Returns
+    (T, normalized)."""
+    from dualform.linalg import vec_add, vec_scale
+    F, m = inst.field, inst.m
+    T1, d = _radical_first_transform(inst)
+    b = inst.change_of_basis(T1).eval_b
+    eye = Matrix.identity(F, m)
+    remaining = [list(eye.row(j)) for j in range(d, m)]
+    us, vs = [], []
+    while remaining:
+        u = remaining.pop(0)
+        v = remaining.pop(next(k for k, w in enumerate(remaining)
+                               if not F.is_zero(b(u, w))))
+        v = list(vec_scale(F, F.inv(b(u, v)), v))
+        fixed = []
+        for w in remaining:
+            cu, cv = b(u, w), b(v, w)
+            w = vec_add(F, w, vec_scale(F, cu, v))
+            fixed.append(list(vec_add(F, w, vec_scale(F, cv, u))))
+        remaining = fixed
+        us.append(u)
+        vs.append(v)
+    cols = [list(eye.row(j)) for j in range(d)] + us + vs[::-1]
+    T = T1.mul(Matrix(F, list(zip(*cols)), cols=m))
+    return T, inst.change_of_basis(T)

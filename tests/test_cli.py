@@ -377,3 +377,40 @@ class TestDeterminism:
         dd = json.loads(out)
         assert dd["dual_coefficients"]["diag"] == ["1/2", "3/2", "0"]
         assert dd["dual_coefficients"]["upper"] == [[0, 1, "2"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dualize", "--half-gram"],
+    ["dualize", "--half-gram", "--field", "rational"],
+    ["normalize", "--half-gram"],
+    ["radical"],
+], ids=["dualize-half-gram", "half-gram-override", "normalize-half-gram",
+        "radical"])
+def test_input_document_is_loaded_once(capsys, monkeypatch, argv):
+    """The --half-gram characteristic probe and the problem parser share
+    one loaded document."""
+    loads = []
+    load = cli._load_json
+
+    def counting(text):
+        loads.append(len(text))
+        return load(text)
+
+    monkeypatch.setattr(cli, "_load_json", counting)
+    code, _, err = run_cli(capsys, argv[0], fx("paper5.json"), *argv[1:])
+    assert (code, err) == (0, "")
+    assert len(loads) == 1
+
+
+def test_half_gram_override_is_checked_before_the_input(capsys, tmp_path):
+    """A characteristic-2 override rejects --half-gram before the input
+    is read as JSON, as the probe always has."""
+    path = tmp_path / "input.json"
+    path.write_text("{not json")
+    code, _, err = run_cli(capsys, "dualize", str(path), "--half-gram",
+                           "--field", "2")
+    assert code == 1
+    assert "--half-gram requires characteristic != 2" in err
+    code, _, err = run_cli(capsys, "dualize", str(path), "--half-gram")
+    assert code == 1
+    assert "invalid JSON" in err

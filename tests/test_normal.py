@@ -7,8 +7,10 @@ from dualform import (CharTwo, DIAGONAL, MINOR_DIAGONAL_CHAR2, Matrix,
                       MetricSpace, NotCharTwo, QuadraticForm,
                       RadicalConditionViolated, char2_normal_form,
                       diagonalize, dualize, invert_matrix)
-from helpers import (F2, F3, F5, FQ, hyperbolic_gf2, paper5, rad_char2,
-                     random_instance_with_condition, random_vector)
+from helpers import (ALL_FIELDS, F2, F3, F5, FQ, hyperbolic_gf2, paper5,
+                     pairwise_char2_normal_form, pairwise_diagonalize,
+                     rad_char2, random_instance_with_condition,
+                     random_scalar, random_subspace_basis, random_vector)
 
 
 def assert_congruent(inst, res):
@@ -184,3 +186,75 @@ class TestNormalFormDuality:
             for i in range(t):
                 assert dres.dual.form.diag[i] == \
                     res.normalized.form.diag[d + (t - 1 - i)]
+
+
+def _reference_cases(rng, F):
+    """Random instances with m from 0 to 12 satisfying the radical
+    condition, some with a radical prefix of forced zeros and some with
+    an all-zero diagonal, so that diagonalize needs its pivot trick."""
+    for m in range(13):
+        for zero_diag in (False, True):
+            n = rng.randint(m, 12)
+            rows = random_subspace_basis(rng, F, n, m)
+            forced = rng.randint(0, m // 2)
+            diag = [F.zero if zero_diag or i < forced
+                    else random_scalar(rng, F) for i in range(m)]
+            upper = {(i, j): random_scalar(rng, F)
+                     for i in range(forced, m) for j in range(i + 1, m)
+                     if rng.random() < 0.6}
+            inst = MetricSpace(F, n, rows, QuadraticForm(F, diag, upper))
+            if inst.radical_condition_holds():
+                yield inst
+
+
+@pytest.mark.parametrize("F", ALL_FIELDS, ids=["Q", "GF2", "GF3", "GF5"])
+def test_matches_pairwise_reference(F):
+    """The congruence steps on [G | C] reproduce the pairwise algorithm,
+    which evaluates B on coordinate columns, exactly: same T, same
+    normalized form, same kind."""
+    rng = random.Random(239)
+    seen = {"radical": 0, "trick": 0, "empty": 0}
+    for _ in range(4):
+        for inst in _reference_cases(rng, F):
+            if F is F2:
+                res = char2_normal_form(inst)
+                T, normalized = pairwise_char2_normal_form(inst)
+                kind = MINOR_DIAGONAL_CHAR2
+            else:
+                res = diagonalize(inst)
+                T, normalized = pairwise_diagonalize(inst)
+                kind = DIAGONAL
+            assert (res.T, res.normalized, res.kind) == (T, normalized, kind)
+            d = inst.radical().dim
+            seen["radical"] += d > 0
+            # a zero diagonal stays zero on the radical-first completion
+            # by unit vectors, so the first pivot needs b_i <- b_i + b_j
+            seen["trick"] += inst.m > d and not any(inst.form.diag)
+            seen["empty"] += inst.m == 0
+    assert all(seen.values()), seen
+
+
+def test_no_pointwise_form_evaluation(monkeypatch):
+    """Normal forms and linked_forms read B off the polar Gram matrix:
+    MetricSpace.eval_b and eval_q, patched on the class, are never called,
+    also on instances with a radical."""
+    from dualform import MetricSpace as MS, linked_forms
+    calls = []
+
+    def recorder(name, raw):
+        return lambda self, *args: calls.append(name) or raw(self, *args)
+
+    for name in ("eval_b", "eval_q"):
+        monkeypatch.setattr(MS, name, recorder(name, getattr(MS, name)))
+    gf2_radical = MetricSpace(F2, 4, [[1, 0, 0, 0], [0, 1, 0, 0],
+                                      [0, 0, 1, 0]],
+                              QuadraticForm(F2, [0, 1, 0], {(1, 2): 1}))
+    rng = random.Random(241)
+    for inst in [paper5(), random_instance_with_condition(rng, F3)]:
+        diagonalize(inst)
+        linked_forms(inst, inst.s_basis[-1])
+    for inst in [gf2_radical, hyperbolic_gf2()]:
+        assert inst.radical().dim == (inst is gf2_radical)
+        char2_normal_form(inst)
+        linked_forms(inst, inst.s_basis[-1])
+    assert calls == []

@@ -250,3 +250,18 @@ class TestReflection:
             _, p2, _ = reflection(inst, s2)
             assert verify_similarity(inst, p1.compose(p2), 1) is True
             done += 1
+
+
+def test_linear_map_checks_bijectivity_by_rank(monkeypatch):
+    """Building a map runs one T-free echelon, not an inverse."""
+    from dualform import linalg
+    from helpers import record_calls
+    calls = record_calls(monkeypatch, linalg.rref, linalg._echelon)
+    LinearMap(Matrix.identity(FQ, 5))
+    assert calls == [("_echelon", 5, 5)]
+
+
+def test_linear_map_rejects_a_non_square_matrix():
+    from dualform import LengthMismatch
+    with pytest.raises(LengthMismatch):
+        LinearMap(Matrix(FQ, [[1, 0, 0], [0, 1, 0]]))
