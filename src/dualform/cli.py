@@ -22,6 +22,12 @@ from .similarity import LinearMap, theorem_psi_check
 # Largest n and adjugate size accepted: far above every tested size (n <= 32),
 # small enough that the n x n matrices a command builds fit in memory.
 MAX_DIM = 512
+# Most decimal digits in one wire scalar, a JSON int or the text of a
+# rational (numerator and denominator together): far above every tested
+# scalar and well below the 4300 digits of Python's int/str limit.  A longer
+# scalar is refused before any arithmetic on it.
+MAX_DIGITS = 1000
+_INT_LIMIT = 10 ** MAX_DIGITS
 
 
 def _load_json(text):
@@ -68,11 +74,23 @@ def _field_from_flag(text):
     return make_field("prime", p)
 
 
+def _too_long(where):
+    return ValidationError(f"scalar in {where} has more than the limit of "
+                           f"{MAX_DIGITS} digits")
+
+
 def _parse_scalar(field, value, where):
+    """A wire scalar, a JSON int or the text of one, as a field element.
+    Only a text longer than MAX_DIGITS has its digits counted."""
     try:
         if isinstance(value, str):
+            if len(value) > MAX_DIGITS and \
+                    sum(map(value.count, "0123456789")) > MAX_DIGITS:
+                raise _too_long(where)
             return field.parse(value)
         if _is_int(value):
+            if abs(value) >= _INT_LIMIT:
+                raise _too_long(where)
             return field.scalar(value)
     except (ValueError, ZeroDivisionError):
         pass

@@ -8,6 +8,8 @@ in canonical reduced row-echelon form, so subspace equality is structural.
 """
 
 import operator
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -18,6 +20,56 @@ def _canon(p, xs):
     """The entries of xs as a tuple, reduced into [0, p) over GF(p); over
     the rationals (p = 0) Fraction arithmetic keeps them canonical."""
     return tuple([x % p for x in xs]) if p else tuple(xs)
+
+
+# Packed GF(p) rows: a row of non-negative ints is one int whose slot j,
+# nb bytes wide, holds entry j at bit 8 * nb * j.  Slots are 1, 2, 4, 8 or
+# 16 bytes; a 16-byte slot is two 8-byte array items, low half first, and
+# is only ever packed from entries below 2^64.  _SLOTS[b] is (nb, code)
+# for the narrowest slot of at least b bits, with code the array type
+# code of its items; 1-byte slots convert through bytes, the cheapest way.
+_CODE = {array(c).itemsize: c for c in "BHILQ"}
+_SLOTS = [next((nb, _CODE[min(nb, 8)]) for nb in (1, 2, 4, 8, 16)
+               if 8 * nb >= b) for b in range(129)]
+_SWAP = sys.byteorder == "big"  # array items are native, slots little-endian
+
+
+def _slot(bound):
+    """(nb, code) of the narrowest slot holding every int in [0, bound),
+    for 1 <= bound <= 2^128."""
+    return _SLOTS[(bound - 1).bit_length()]
+
+
+def _pack(row, nb, code):
+    """The entries of row, each below 2^min(8 nb, 64), as one packed int;
+    a row of width 1 packs to its own entry."""
+    if len(row) == 1:
+        return row[0]
+    if nb == 1:
+        return int.from_bytes(bytes(row), "little")
+    if nb == 16:
+        a = array(code, bytes(16 * len(row)))
+        a[::2] = array(code, row)
+    else:
+        a = array(code, row)
+    if _SWAP:
+        a.byteswap()
+    return int.from_bytes(a, "little")
+
+
+def _slots(x, count, nb, code):
+    """The count slot values of the packed int x, as an iterable of ints."""
+    if count == 1:
+        return (x,)
+    if nb == 1:
+        return x.to_bytes(count, "little")
+    a = array(code, x.to_bytes(count * nb, "little"))
+    if _SWAP:
+        a.byteswap()
+    if nb < 16:
+        return a
+    halves = iter(a)
+    return [lo + (hi << 64) for lo, hi in zip(halves, halves)]
 
 
 def _int_rows(rows):
@@ -42,6 +94,12 @@ class Matrix:
 
     Over the rationals, products clear the denominators of each row and
     column and build one ``Fraction`` per entry from an int dot product.
+    Over GF(p) the product A B packs each row of B (k x m) into one int
+    with m slots, so row i of A B is sum_j A[i][j] * packed_j, one big-int
+    multiply-add per entry of A, unpacked once.  A slot sums k products of
+    residues, so it stays at most k (p - 1)^2 and never carries into the
+    next: the slot is the narrowest of 1, 2, 4, 8 or 16 bytes that holds
+    that bound.
     """
 
     __slots__ = ("field", "rows", "cols", "data")
@@ -99,19 +157,21 @@ class Matrix:
     def mul(self, other):
         if self.cols != other.rows:
             raise LengthMismatch("matrix product shape mismatch")
-        F = self.field
-        p, zero = F.characteristic(), F.zero
-        cols = other.transpose().data
+        F, m = self.field, other.cols
+        p = F.characteristic()
         if not p:
             rows, row_dens = _int_rows(self.data)
-            cols, col_dens = _int_rows(cols)
+            cols, col_dens = _int_rows(other.transpose().data)
             return Matrix._trusted(F, [
                 [Fraction(sum(map(operator.mul, row, col)), d * e)
                  for col, e in zip(cols, col_dens)]
-                for row, d in zip(rows, row_dens)], other.cols)
+                for row, d in zip(rows, row_dens)], m)
+        nb, code = _slot(self.cols * (p - 1) ** 2 + 1)
+        packed = [_pack(row, nb, code) for row in other.data]
         return Matrix._trusted(F, [
-            _canon(p, [sum(map(operator.mul, row, col), zero) for col in cols])
-            for row in self.data], other.cols)
+            [x % p for x in _slots(sum(map(operator.mul, row, packed)), m,
+                                   nb, code)]
+            for row in self.data], m)
 
     def mul_vec(self, v):
         if len(v) != self.cols:
@@ -172,9 +232,23 @@ def _echelon(M, transform):
     current row.  With transform each working row holds a row of M
     followed by the same row of T, and rows are all M.rows rows [R | T] of
     rref; without it no T is built and rows are the len(pivots) nonzero
-    rows of R, the same as rref's.  Over GF(p) a row operation for pivot
-    column c starts at column c: the pivot row is zero before it.  Over
-    the rationals a row is ints times an unstored rational scale, and
+    rows of R, the same as rref's.
+
+    Over GF(p) each working row is one packed int (see _pack): entry j in
+    slot j, T's entry j in slot k + j, so T's identity row i is the bit
+    1 << w (k + i) for slots of w bits.  Only the pivot row is unpacked;
+    it is reduced, multiplied by the inverse of its pivot and packed
+    again, so its entries lie in [0, p).  Every other row i, with f its
+    slot c read by shift and mask and reduced mod p, takes
+    row_i += (p - f) * pivot, one multiply-add that turns slot c into a
+    multiple of p and adds at most (p - 1)^2 to any slot.  A row gets one
+    such addition per pivot, at most min(n, k), after it starts below p or
+    is repacked as a pivot, so every slot stays below
+    p + min(n, k) (p - 1)^2; the slot is the narrowest that holds this
+    bound, no slot carries into the next, and the rows are reduced mod p
+    once, as they are unpacked at the end.
+
+    Over the rationals a row is ints times an unstored rational scale, and
     row_i -= (f / pv) * row_r becomes (pv * row_i - f * row_r) / gcd; a row
     may reduce to zero when T is not built, so only a gcd above 1 divides.
     In the end a pivot row is multiplied by the inverse of its pivot; any
@@ -183,49 +257,72 @@ def _echelon(M, transform):
     """
     F = M.field
     p, n, k = F.characteristic(), M.rows, M.cols
-    rows, dens = (M.data, [1] * n) if p else _int_rows(M.data)
-    if transform:
-        a = [list(row) + [d if i == j else 0 for j in range(n)]
-             for i, (row, d) in enumerate(zip(rows, dens))]
-    else:
-        a = [list(row) for row in rows]
-    own = list(range(n))
     pivots = []
     r = 0
+    if p:
+        width = k + n if transform else k
+        nb, code = _slot(p + min(n, k) * (p - 1) ** 2)
+        w = 8 * nb
+        mask = (1 << w) - 1
+        a = [_pack(row, nb, code) for row in M.data]
+        if transform:
+            a = [x + (1 << w * (k + i)) for i, x in enumerate(a)]
+        for c in range(k):
+            shift = w * c
+            col = [((x >> shift) & mask) % p for x in a]
+            for pr in range(r, n):
+                if col[pr]:
+                    break
+            else:
+                continue
+            a[r], a[pr] = a[pr], a[r]
+            inv = F.inv(col[pr])
+            col[pr], col[r] = col[r], 0
+            a[r] = pivot = _pack([inv * x % p for x in
+                                  _slots(a[r], width, nb, code)], nb, code)
+            for i, f in enumerate(col):
+                if f:
+                    a[i] += (p - f) * pivot
+            pivots.append(c)
+            r += 1
+            if r == n:
+                break
+        if not transform:
+            del a[r:]
+        return [[x % p for x in _slots(row, width, nb, code)]
+                for row in a], pivots
+    rows, dens = _int_rows(M.data)
+    if transform:
+        a = [row + [d if i == j else 0 for j in range(n)]
+             for i, (row, d) in enumerate(zip(rows, dens))]
+    else:
+        a = rows
+    own = list(range(n))
     for c in range(k):
         pr = next((i for i in range(r, n) if a[i][c]), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
         own[r], own[pr] = own[pr], own[r]
-        if p:
-            inv = F.inv(a[r][c])
-            a[r][c:] = pivot = _canon(p, [inv * x for x in a[r][c:]])
-        else:
-            pivot = a[r]
+        pivot = a[r]
         for i in range(n):
             f = a[i][c]
             if i == r or not f:
                 continue
-            if p:
-                a[i][c:] = [(x - f * y) % p if y else x
-                            for x, y in zip(a[i][c:], pivot)]
-            else:
-                row = [pivot[c] * x - f * y for x, y in zip(a[i], pivot)]
-                g = gcd(*row)
-                a[i] = [x // g for x in row] if g > 1 else row
+            row = [pivot[c] * x - f * y for x, y in zip(a[i], pivot)]
+            g = gcd(*row)
+            a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == n:
             break
     if not transform:
         del a[r:]
-    if not p:
-        for i, row in enumerate(a):
-            inv = F.inv(row[pivots[i]]) if i < r else \
-                Fraction(1, row[k + own[i]])
-            num, d = inv.numerator, inv.denominator  # inv = +-1/d
-            a[i] = [Fraction(num * x, d) if x else F.zero for x in row]
+    for i, row in enumerate(a):
+        inv = F.inv(row[pivots[i]]) if i < r else \
+            Fraction(1, row[k + own[i]])
+        num, d = inv.numerator, inv.denominator  # inv = +-1/d
+        a[i] = [Fraction(num * x, d) if x else F.zero for x in row]
     return a, pivots
 
 

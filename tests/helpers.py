@@ -1,6 +1,7 @@
 """Shared builders for the test suite: the worked examples, seeded
 random instance and matrix generators, and a call recorder."""
 
+import operator
 import sys
 from fractions import Fraction
 
@@ -124,6 +125,49 @@ def matrix_of_rank(rng, F, n, r):
     D = Matrix(F, [[int(i == j < r) for j in range(n)] for i in range(n)],
                cols=n)
     return unit(True).mul(D).mul(unit(False))
+
+
+def echelon_gfp_reference(M, transform):
+    """Reference GF(p) elimination with the pivot rule of linalg._echelon,
+    on lists of residues: the pivot row is scaled by the inverse of its
+    pivot, then every other row with a nonzero entry f in the pivot column
+    takes the entrywise (x - f * y) % p from that column on.  Returns
+    (rows, pivots) like _echelon: all rows [R | T] with transform, the
+    nonzero rows of R without."""
+    F = M.field
+    p, n, k = F.characteristic(), M.rows, M.cols
+    a = [list(row) + ([int(i == j) for j in range(n)] if transform else [])
+         for i, row in enumerate(M.data)]
+    pivots = []
+    r = 0
+    for c in range(k):
+        pr = next((i for i in range(r, n) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = F.inv(a[r][c])
+        a[r][c:] = pivot = [inv * x % p for x in a[r][c:]]
+        for i in range(n):
+            f = a[i][c]
+            if i != r and f:
+                a[i][c:] = [(x - f * y) % p if y else x
+                            for x, y in zip(a[i][c:], pivot)]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    if not transform:
+        del a[r:]
+    return a, pivots
+
+
+def mul_gfp_reference(A, B):
+    """Reference GF(p) product: one dot product per entry, reduced mod p."""
+    p = A.field.characteristic()
+    cols = list(zip(*B.data)) if B.data else [()] * B.cols
+    return Matrix(A.field, [[sum(map(operator.mul, row, col)) % p
+                             for col in cols] for row in A.data],
+                  cols=B.cols)
 
 
 def record_calls(monkeypatch, *raws):

@@ -7,7 +7,7 @@ import pytest
 
 from dualform import (Matrix, ValidationError, adjugate, cli, det, linalg,
                       rank)
-from dualform.cli import MAX_DIM, main, parse_problem
+from dualform.cli import MAX_DIGITS, MAX_DIM, main, parse_problem
 from helpers import FQ
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -230,10 +230,13 @@ def _paper5_doc(**changes):
                               Q={"diag": ["0", "1_0", "+3"]})),
     (["adjugate"], {"field": "rational",
                     "M": [["1" + "0" * 2500, "0"], ["0", "1" + "0" * 2500]]}),
+    (["adjugate"], {"field": "rational",
+                    "M": [["1" + "0" * (MAX_DIGITS - 1) if i == j else "0"
+                           for j in range(5)] for i in range(5)]}),
 ], ids=["p-string", "kind-int", "upper-int", "adjugate-list",
         "half-gram-list", "M-flat", "n-bool", "exponent-scalar",
         "exponent-ratio", "decimal-scalar", "exponent-vector",
-        "residue-underscore", "digits-result"])
+        "residue-underscore", "digits-result", "digits-result-in-limit"])
 def test_malformed_input_is_an_error_line(capsys, tmp_path, argv, doc):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
@@ -338,6 +341,58 @@ def test_runaway_size_is_refused_before_any_work(capsys, monkeypatch,
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and f"limit {MAX_DIM}" in err
+
+
+LONG = "1" * (MAX_DIGITS + 1)
+MAP_WITH_LONG = {"P": [[LONG if (i, j) == (4, 4) else str(int(i == j))
+                        for j in range(5)] for i in range(5)]}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["dualize"], _paper5_doc(S=[["1", "0", "0", "0", LONG],
+                                 ["0", "1", "0", "0", "0"],
+                                 ["0", "0", "1", "0", "0"]])),
+    (["dualize"], _paper5_doc(Q={"diag": ["0", "-" + LONG, "3/2"]})),
+    (["dualize"], _paper5_doc(Q={"diag": ["0", "1/2", "3/2"],
+                                 "upper": [[1, 2, "1/" + LONG[1:]]]})),
+    (["linked-forms", "--vector=0,1,0,0," + LONG], _paper5_doc()),
+    (["linked", "--form=0,1,0,0," + LONG], _paper5_doc()),
+    (["similarity", "--map", fx("reflection_map.json"), "--ratio", LONG],
+     _paper5_doc()),
+    (["similarity", "--map", "MAP"], _paper5_doc()),
+    (["adjugate"], {"field": "rational", "M": [[10 ** MAX_DIGITS]]}),
+], ids=["S", "Q.diag", "Q.upper", "vector", "form", "ratio", "P", "M"])
+def test_scalar_over_the_digit_limit_is_refused(capsys, monkeypatch,
+                                                tmp_path, argv, doc):
+    """A wire scalar with MAX_DIGITS + 1 digits, as text (a rational's
+    numerator and denominator counted together) or as a JSON int, is one
+    error line before the command computes anything."""
+    def trap(*args):
+        pytest.fail("computation started on an over-long scalar")
+
+    for name in ("dualize", "adjugate", "linked_coset", "linked_forms",
+                 "LinearMap", "theorem_psi_check"):
+        monkeypatch.setattr(cli, name, trap)
+    path, map_path = tmp_path / "input.json", tmp_path / "map.json"
+    path.write_text(json.dumps(doc))
+    map_path.write_text(json.dumps(MAP_WITH_LONG))
+    argv = [str(map_path) if a == "MAP" else a for a in argv]
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"limit of {MAX_DIGITS} digits" in err
+
+
+def test_scalar_at_the_digit_limit_is_accepted(capsys, tmp_path):
+    at_limit = "1/" + "3" * (MAX_DIGITS - 1)
+    doc = _paper5_doc(Q={"diag": [0, 10 ** MAX_DIGITS - 1, at_limit],
+                         "upper": [[1, 2, "-" + "7" * MAX_DIGITS]]})
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "radical", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["dimension"] == 1
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,13 @@ import pytest
 from dualform import (Matrix, NotNested, Singular, Subspace, adjugate,
                       annihilator, det, extend_basis, invert_matrix, kernel,
                       make_field, rank, rref, solve)
-from dualform import fields, linalg
-from dualform.linalg import _echelon, combine, complete_to_ambient
-from helpers import (FQ, F2, F3, matrix_of_rank, random_subspace_basis,
-                     random_vector, record_calls, wide_rational_matrix,
-                     wide_shapes)
+from dualform import cli, fields, linalg
+from dualform.linalg import _echelon, _slot, combine, complete_to_ambient
+from helpers import (FQ, F2, F3, F5, echelon_gfp_reference, matrix_of_rank,
+                     mul_gfp_reference, random_subspace_basis, random_vector,
+                     record_calls, wide_rational_matrix, wide_shapes)
+
+GF_WORD = make_field("prime", 2**31 - 1)
 
 
 def mat(F, rows):
@@ -391,3 +394,96 @@ def test_rref_inverts_once_per_pivot(monkeypatch, F):
         del calls[:]
         _, _, pivots = rref(Matrix(F, data, cols=cols))
         assert len(calls) == len(pivots)
+
+
+def _gfp_matrices(rng, F, count):
+    """Random matrices of wide_shapes (0 rows, 0 columns, 1 wide, 1 tall),
+    half of them with a repeated row, each beside the matrix of the same
+    shape with every entry p - 1, plus square matrices of every rank
+    class."""
+    top = F.characteristic() - 1
+    out = []
+    for rows, cols in wide_shapes(rng, count):
+        data = [random_vector(rng, F, cols) for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.5:
+            data[-1] = data[0]
+        out.append(Matrix(F, data, cols=cols))
+        out.append(Matrix(F, [[top] * cols] * rows, cols=cols))
+    return out + [matrix_of_rank(rng, F, n, r)
+                  for n, r in [(6, 6), (7, 6), (9, 4), (5, 0)]]
+
+
+@pytest.mark.parametrize("F", [F2, F3, F5, GF_WORD], ids=repr)
+def test_packed_echelon_matches_reference(F):
+    """The packed-row loop returns the list elimination's rows and pivots,
+    with and without T, and rref, rank and kernel agree with it."""
+    rng = random.Random(F.characteristic() + 149)
+    deficient = 0
+    for M in _gfp_matrices(rng, F, 40):
+        rows, pivots = echelon_gfp_reference(M, True)
+        assert _echelon(M, True) == (rows, pivots)
+        assert _echelon(M, False) == echelon_gfp_reference(M, False)
+        R, T, rref_pivots = rref(M)
+        assert R.data == tuple(tuple(row[:M.cols]) for row in rows)
+        assert T.data == tuple(tuple(row[M.cols:]) for row in rows)
+        assert rref_pivots == pivots
+        assert rank(M) == len(pivots)
+        assert kernel(M).dim == M.cols - len(pivots)
+        deficient += len(pivots) < M.rows
+    assert deficient > 40
+
+
+@pytest.mark.parametrize("F", [F2, F3, F5, GF_WORD], ids=repr)
+def test_packed_mul_matches_reference(F):
+    """Products, matrix-vector products and combinations equal one dot
+    product per entry, for right-hand widths 0, 1 and more."""
+    rng = random.Random(F.characteristic() + 151)
+    top = F.characteristic() - 1
+    for A in _gfp_matrices(rng, F, 30):
+        k = A.cols
+        for m in (0, 1, rng.randint(2, 7)):
+            for B in (Matrix(F, [random_vector(rng, F, m) for _ in range(k)],
+                             cols=m),
+                      Matrix(F, [[top] * m] * k, cols=m)):
+                assert A.mul(B) == mul_gfp_reference(A, B)
+        v = random_vector(rng, F, k)
+        column = Matrix(F, [[x] for x in v], cols=1)
+        assert A.mul_vec(v) == mul_gfp_reference(A, column).column(0)
+        coeffs = random_vector(rng, F, A.rows)
+        row = Matrix(F, [coeffs], cols=A.rows)
+        assert combine(F, coeffs, A.data, k) == \
+            mul_gfp_reference(row, A).row(0)
+
+
+@pytest.mark.parametrize("p, n, nb", [(2, 6, 1), (5, 20, 2), (257, 5, 4),
+                                      (2**31 - 1, 3, 8), (2**31 - 1, 6, 16)])
+def test_every_slot_width_matches_reference(p, n, nb):
+    """Each slot width, 1 to 16 bytes, is chosen for some field and size
+    and gives the reference results on random and all p - 1 entries, and
+    on rows e_c - e_(n-1) above a last row of ones ending in -1: each of
+    the first n - 1 pivots adds (p - 1)^2 to the last slot of that row,
+    which then reaches p - 1 + (n - 1) (p - 1)^2, past the next narrower
+    width."""
+    F = make_field("prime", p)
+    assert _slot(p + n * (p - 1) ** 2)[0] == nb
+    assert _slot(n * (p - 1) ** 2 + 1)[0] == nb
+    rng = random.Random(p + n)
+    last = [[1] * (n - 1) + [p - 1]]
+    for M in (Matrix(F, [random_vector(rng, F, n) for _ in range(n)]),
+              Matrix(F, [[p - 1] * n] * n),
+              Matrix(F, [[int(j == c) - int(j == n - 1) for j in range(n)]
+                         for c in range(n - 1)] + last),
+              matrix_of_rank(rng, F, n, n - 1)):
+        assert _echelon(M, True) == echelon_gfp_reference(M, True)
+        assert M.mul(M) == mul_gfp_reference(M, M)
+
+
+def test_slot_at_the_cli_limit_holds_the_bound():
+    """For n = k = cli.MAX_DIM and p = 2^31 - 1 the chosen slots hold the
+    echelon bound p + n (p - 1)^2 and the product bound n (p - 1)^2: the
+    widest slot, two 8-byte array items."""
+    p, n = 2**31 - 1, cli.MAX_DIM
+    for top in (p - 1 + n * (p - 1) ** 2, n * (p - 1) ** 2):
+        nb, code = _slot(top + 1)
+        assert top < 1 << 8 * nb
+        assert (nb, 2 * array(code).itemsize) == (16, 16)

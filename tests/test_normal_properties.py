@@ -4,64 +4,16 @@ congruent to the input, its Gram block is diagonal or minor-diagonal, its
 basis lists the radical first, and its dual inverts the diagonal or, in
 characteristic 2, mirrors it."""
 
-import warnings
-from fractions import Fraction
-
 import pytest
 
-from dualform import (Matrix, MetricSpace, QuadraticForm, char2_normal_form,
-                      diagonalize, dualize, rank)
+from dualform import char2_normal_form, diagonalize, dualize
 from helpers import F2, F3, FQ
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
+from strategies import PROPERTY, instances  # noqa: E402
 
-# On a failing example the hypothesis pytest plugin imports libcst to print
-# a patch, and that import warns, which the warnings-as-errors setting
-# turns into an internal error ending the session.  Importing it here,
-# with its warning ignored, keeps a failing property an ordinary failure.
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", DeprecationWarning)
-    try:
-        import libcst  # noqa: F401
-    except ImportError:
-        pass
-
-PROPERTY = hypothesis.settings(max_examples=60, deadline=None,
-                               derandomize=True, database=None)
 FIELDS = pytest.mark.parametrize("F", [FQ, F2, F3], ids=["Q", "GF2", "GF3"])
-
-
-def scalars(F):
-    if F.characteristic() == 0:
-        return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
-    return st.integers(0, F.p - 1)
-
-
-@st.composite
-def instances(draw, F):
-    """(S, Q) in F^n, n <= 8, with the radical condition.  S keeps the
-    drawn rows that raise the rank, and the form vanishes on a drawn
-    number of leading basis vectors, so radicals are common."""
-    n = draw(st.integers(0, 8))
-    k = draw(st.integers(0, n))
-    rows = draw(st.lists(st.lists(scalars(F), min_size=n, max_size=n),
-                         min_size=k, max_size=k))
-    basis = []
-    for row in rows:
-        if rank(Matrix(F, basis + [row], cols=n)) > len(basis):
-            basis.append(row)
-    m = len(basis)
-    forced = draw(st.one_of(st.just(0), st.integers(0, m)))
-    diag = [F.zero] * forced + draw(
-        st.lists(scalars(F), min_size=m - forced, max_size=m - forced))
-    pairs = [(i, j) for i in range(forced, m) for j in range(i + 1, m)]
-    values = draw(st.lists(scalars(F), min_size=len(pairs),
-                           max_size=len(pairs)))
-    inst = MetricSpace(F, n, basis,
-                       QuadraticForm(F, diag, dict(zip(pairs, values))))
-    hypothesis.assume(inst.radical_condition_holds())
-    return inst
 
 
 def normal_form(inst):
