@@ -11,7 +11,7 @@ import operator
 import sys
 from array import array
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 from .errors import LengthMismatch, NotNested, Singular
 
@@ -225,8 +225,9 @@ def combine(F, coeffs, rows, n):
 
 
 def _echelon(M, transform):
-    """The one elimination loop: rref, and without transform every rank,
-    kernel, span and completion question.  Returns (rows, pivots).
+    """The one elimination loop: rref, det and without transform every
+    rank, kernel, span and completion question.  Returns (rows, pivots,
+    det), with det zero unless M is square and of full rank.
 
     The pivot of each column is its first nonzero entry at or below the
     current row.  With transform each working row holds a row of M
@@ -246,24 +247,34 @@ def _echelon(M, transform):
     is repacked as a pivot, so every slot stays below
     p + min(n, k) (p - 1)^2; the slot is the narrowest that holds this
     bound, no slot carries into the next, and the rows are reduced mod p
-    once, as they are unpacked at the end.
+    once, as they are unpacked at the end.  det is the sign of the row
+    swaps times the product of the pivots.
 
-    Over the rationals a row is ints times an unstored rational scale, and
-    row_i -= (f / pv) * row_r becomes (pv * row_i - f * row_r) / gcd; a row
-    may reduce to zero when T is not built, so only a gcd above 1 divides.
-    In the end a pivot row is multiplied by the inverse of its pivot; any
-    other row is divided by its entry in its own column own[i] of T, whose
-    value stays 1 because no pivot row is nonzero there.
+    Over the rationals the rows are cleared of denominators, with T
+    starting as the diagonal D of them, so the working rows start as
+    [D M | D], and reduced by fraction-free Gauss-Jordan (Bareiss): with
+    pv the pivot and prev the one before it (1 at first), every other row
+    becomes (pv * row_i - f * row_r) / prev, f its entry in the pivot
+    column (for f = 0 a rescaling).  By Sylvester's identity the division
+    is exact: after s pivots every entry is a minor of the starting rows,
+    of order s + 1 in a non-pivot row (on the pivot rows and its own, the
+    pivot columns and its own) and s in a pivot row (its pivot column
+    replaced by its own).  So every pivot row holds prev in its pivot
+    column, and at full rank det(M) = sign * prev / prod(dens), sign that
+    of the row swaps.  In the end a pivot row is multiplied by the inverse
+    of its pivot; any other row is divided by its entry in its own column
+    own[i] of T, nonzero because no pivot row is nonzero there.
     """
     F = M.field
     p, n, k = F.characteristic(), M.rows, M.cols
     pivots = []
-    r = 0
+    r, sign = 0, 1
     if p:
         width = k + n if transform else k
         nb, code = _slot(p + min(n, k) * (p - 1) ** 2)
         w = 8 * nb
         mask = (1 << w) - 1
+        d = 1
         a = [_pack(row, nb, code) for row in M.data]
         if transform:
             a = [x + (1 << w * (k + i)) for i, x in enumerate(a)]
@@ -275,7 +286,10 @@ def _echelon(M, transform):
                     break
             else:
                 continue
-            a[r], a[pr] = a[pr], a[r]
+            if pr != r:
+                a[r], a[pr] = a[pr], a[r]
+                sign = -sign
+            d = d * col[pr] % p
             inv = F.inv(col[pr])
             col[pr], col[r] = col[r], 0
             a[r] = pivot = _pack([inv * x % p for x in
@@ -289,8 +303,8 @@ def _echelon(M, transform):
                 break
         if not transform:
             del a[r:]
-        return [[x % p for x in _slots(row, width, nb, code)]
-                for row in a], pivots
+        return ([[x % p for x in _slots(row, width, nb, code)] for row in a],
+                pivots, sign * d % p if r == n == k else F.zero)
     rows, dens = _int_rows(M.data)
     if transform:
         a = [row + [d if i == j else 0 for j in range(n)]
@@ -298,20 +312,26 @@ def _echelon(M, transform):
     else:
         a = rows
     own = list(range(n))
+    prev = 1
     for c in range(k):
         pr = next((i for i in range(r, n) if a[i][c]), None)
         if pr is None:
             continue
-        a[r], a[pr] = a[pr], a[r]
-        own[r], own[pr] = own[pr], own[r]
+        if pr != r:
+            a[r], a[pr] = a[pr], a[r]
+            own[r], own[pr] = own[pr], own[r]
+            sign = -sign
         pivot = a[r]
+        pv = pivot[c]
         for i in range(n):
-            f = a[i][c]
-            if i == r or not f:
+            if i == r:
                 continue
-            row = [pivot[c] * x - f * y for x, y in zip(a[i], pivot)]
-            g = gcd(*row)
-            a[i] = [x // g for x in row] if g > 1 else row
+            f = a[i][c]
+            if f:
+                a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], pivot)]
+            elif pv != prev:
+                a[i] = [pv * x // prev for x in a[i]]
+        prev = pv
         pivots.append(c)
         r += 1
         if r == n:
@@ -323,7 +343,16 @@ def _echelon(M, transform):
             Fraction(1, row[k + own[i]])
         num, d = inv.numerator, inv.denominator  # inv = +-1/d
         a[i] = [Fraction(num * x, d) if x else F.zero for x in row]
-    return a, pivots
+    return a, pivots, \
+        Fraction(sign * prev, prod(dens)) if r == n == k else F.zero
+
+
+def _rref(M):
+    """rref's (R, T, pivots) followed by det(M)."""
+    F, k = M.field, M.cols
+    a, pivots, d = _echelon(M, True)
+    return (Matrix._trusted(F, [row[:k] for row in a], k),
+            Matrix._trusted(F, [row[k:] for row in a], M.rows), pivots, d)
 
 
 def rref(M):
@@ -333,10 +362,7 @@ def rref(M):
     of pivot column indices in order, from one run of the echelon loop
     with its transform; rows of R below the rank are zero.
     """
-    F, k = M.field, M.cols
-    a, pivots = _echelon(M, True)
-    return (Matrix._trusted(F, [row[:k] for row in a], k),
-            Matrix._trusted(F, [row[k:] for row in a], M.rows), pivots)
+    return _rref(M)[:3]
 
 
 def rank(M):
@@ -344,45 +370,13 @@ def rank(M):
 
 
 def det(M):
-    """Determinant by one elimination with the pivot rule of rref.
-
-    Over GF(p) this is Gauss: det = sign * product of the pivots, and each
-    row operation starts at the pivot column and skips a zero multiplier.
-    Over the rationals it is Bareiss on the rows cleared of denominators:
-    row_i <- (pv * row_i - f * row_k) / prev is exact, so every row below
-    the pivot is updated, one with f = 0 too, and the last pivot is the
-    determinant of the int rows.
-    """
+    """Determinant, read off one run of the echelon loop without its
+    transform: over GF(p) the signed product of the pivots, over the
+    rationals the last Bareiss pivot of the rows cleared of denominators,
+    divided by the product of their denominators."""
     if M.rows != M.cols:
         raise LengthMismatch("determinant of a non-square matrix")
-    F = M.field
-    p, n = F.characteristic(), M.rows
-    a, dens = ([list(row) for row in M.data], ()) if p else _int_rows(M.data)
-    sign, prev, d = 1, 1, 1
-    for k in range(n):
-        pr = next((i for i in range(k, n) if a[i][k]), None)
-        if pr is None:
-            return F.zero
-        if pr != k:
-            a[k], a[pr] = a[pr], a[k]
-            sign = -sign
-        pivot = a[k][k:]
-        pv = pivot[0]
-        if p:
-            d = d * pv % p
-            inv = F.inv(pv)
-        for i in range(k + 1, n):
-            f = a[i][k]
-            if p:
-                if f:
-                    f = f * inv % p
-                    a[i][k:] = [(x - f * y) % p
-                                for x, y in zip(a[i][k:], pivot)]
-            else:
-                a[i][k:] = [(pv * x - f * y) // prev
-                            for x, y in zip(a[i][k:], pivot)]
-        prev = pv
-    return sign * d % p if p else Fraction(sign * prev, prod(dens))
+    return _echelon(M, False)[2]
 
 
 def invert_matrix(M):
@@ -398,19 +392,20 @@ def adjugate(M):
     """Transpose of the cofactor matrix; adj(M) * M = det(M) * I, defined
     also for singular M.
 
-    One rref (R, T, pivots) of M decides the rank r.  At r = n the adjugate
-    is det(M) * T.  Below n - 1 every (n-1)-minor vanishes, so it is zero.
-    At r = n - 1 it has rank one, adj = c * x * y^t: M x = 0 for the null
-    vector x of R at its free column j, y^t M = 0 for the last row y of T,
-    and the (j, i) entry, for the first i with y_i != 0, fixes
+    One run of the echelon loop gives R, T, pivots and det(M), and the
+    rank r decides.  At r = n the adjugate is det(M) * T.  Below n - 1
+    every (n-1)-minor vanishes, so it is zero.  At r = n - 1 it has rank
+    one, adj = c * x * y^t: M x = 0 for the null vector x of R at its free
+    column j, y^t M = 0 for the last row y of T, and the (j, i) entry, for
+    the first i with y_i != 0, fixes
     c = (-1)^(i+j) * det(M without row i and column j) / y_i.
     """
     if M.rows != M.cols:
         raise LengthMismatch("adjugate of a non-square matrix")
     F, n = M.field, M.rows
-    R, T, pivots = rref(M)
+    R, T, pivots, d = _rref(M)
     if len(pivots) == n:
-        return T.scale(det(M))
+        return T.scale(d)
     if len(pivots) < n - 1:
         return Matrix.zeros(F, n, n)
     j = next(c for c in range(n) if c not in pivots)
@@ -517,7 +512,7 @@ def _null_space(R, pivots):
 
 def kernel(M):
     """Solution space of M x = 0 as a Subspace of F^cols."""
-    rows, pivots = _echelon(M, False)
+    rows, pivots, _ = _echelon(M, False)
     return _null_space(Matrix._trusted(M.field, rows, M.cols), pivots)
 
 

@@ -23,7 +23,8 @@ class QuadraticForm:
         self.m = len(self.diag)
         cleaned = {}
         for (i, j), v in (upper or {}).items():
-            if not (0 <= i < j < self.m):
+            # an index is an int, and a bool is not one
+            if not (type(i) is type(j) is int and 0 <= i < j < self.m):
                 raise LengthMismatch(f"bad coefficient index ({i}, {j})")
             v = field.scalar(v)
             if not field.is_zero(v):

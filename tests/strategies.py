@@ -23,6 +23,12 @@ def coordinates(F, count):
 
 
 @st.composite
+def matrices(draw, F, rows, cols):
+    return Matrix(F, draw(st.lists(coordinates(F, cols), min_size=rows,
+                                   max_size=rows)), cols=cols)
+
+
+@st.composite
 def instances(draw, F):
     """(S, Q) in F^n, n <= 8, with the radical condition.  S keeps the
     drawn rows that raise the rank, and the form vanishes on a drawn

@@ -1,19 +1,24 @@
 """Property tests of the paper's identities, with shrinking: over the
 rationals, GF(2), GF(3) and GF(2^31 - 1), for instances with n <= 8,
 dualizing twice gives the instance back, linking on the dual side is the
-converse of linking, linked pairs share their value Q^(a*) = Q(x), and the
+converse of linking, linked pairs share their value Q^(a*) = Q(x), the
 adjugate of the middle Gram block is its determinant times the dual's
-Gram block."""
+Gram block, a map in adapted block form is a similarity exactly when its
+transpose is one on the dual, and a reflection is an involution negating
+its vector.  The determinant is multiplicative and invariant under
+transposition for n <= 6."""
 
 import pytest
 
-from dualform import (adjugate, b_linked, det, double_dual_check, dualize,
-                      linked_forms, make_field)
+from dualform import (LinearMap, Matrix, adapted_basis, adjugate, b_linked,
+                      det, double_dual_check, dualize, linked_forms,
+                      make_field, reflection, theorem_psi_check)
 from helpers import F2, F3, FQ
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
-from strategies import PROPERTY, coordinates, instances  # noqa: E402
+from strategies import (  # noqa: E402
+    PROPERTY, coordinates, instances, matrices, scalars)
 
 FIELDS = pytest.mark.parametrize(
     "F", [FQ, F2, F3, make_field("prime", 2**31 - 1)],
@@ -73,3 +78,72 @@ def test_adjugate_of_the_gram_block_is_det_times_the_dual_gram(F, data):
     t = range(res.g22.rows)
     g_hat = res.dual.polar_gram().submatrix(t, t)
     assert adjugate(res.g22) == g_hat.scale(det(res.g22))
+
+
+@FIELDS
+@PROPERTY
+@hypothesis.given(data=st.data())
+def test_similarity_verdicts_agree_on_adapted_block_maps(F, data):
+    """For psi = A P A^-1 with P block upper triangular in the adapted basis
+    A (it keeps R and S), psi is a similarity of ratio c exactly when its
+    transpose is one of the dual form; with a * id on the middle block it
+    is one of ratio a^2."""
+    inst = data.draw(instances(F))
+    ab = adapted_basis(inst)
+    nonzero = scalars(F).filter(bool)
+    a = F.one if inst.form.is_zero() else data.draw(nonzero)
+    scaled = data.draw(st.booleans())
+    drawn = data.draw(matrices(F, inst.n, inst.n))
+
+    def entry(i, j):
+        if scaled and i in ab.i2 and j in ab.i2:
+            return a if i == j else F.zero
+        if i == j:
+            return data.draw(nonzero)
+        return drawn[i, j] if i < j else F.zero
+
+    p_ad = Matrix(F, [[entry(i, j) for j in range(inst.n)]
+                      for i in range(inst.n)], cols=inst.n)
+    psi = LinearMap(ab.a.mul(p_ad).mul(ab.a_inv))
+    c = F.mul(a, a) if scaled else data.draw(nonzero)
+    rep = theorem_psi_check(inst, psi, c)
+    assert rep.primal_ok == rep.dual_ok
+    if scaled:
+        assert rep.primal_ok is True
+
+
+@FIELDS
+@PROPERTY
+@hypothesis.given(data=st.data())
+def test_reflection_is_an_involution_negating_its_vector(F, data):
+    """psi_s^2 = I and psi_s(s) = -s for s anisotropic: the drawn vector
+    if Q is nonzero on it, else the first e_i or e_i + e_j of the S basis
+    that is, which exists for every nonzero form."""
+    inst = data.draw(instances(F))
+    hypothesis.assume(not inst.form.is_zero())
+    m = inst.m
+    candidates = [data.draw(coordinates(F, m))] + [
+        [F.one if k in (i, j) else F.zero for k in range(m)]
+        for i in range(m) for j in range(i, m)]
+    s = inst.from_coords(next(c for c in candidates if inst.eval_q(c)))
+    psi = reflection(inst, s)[1]
+    assert psi.compose(psi).matrix == Matrix.identity(F, inst.n)
+    assert psi.apply(s) == tuple(F.neg(x) for x in s)
+
+
+@FIELDS
+@PROPERTY
+@hypothesis.given(data=st.data())
+def test_det_is_multiplicative(F, data):
+    n = data.draw(st.integers(0, 6))
+    A, B = data.draw(matrices(F, n, n)), data.draw(matrices(F, n, n))
+    assert det(A.mul(B)) == F.mul(det(A), det(B))
+
+
+@FIELDS
+@PROPERTY
+@hypothesis.given(data=st.data())
+def test_det_of_the_transpose(F, data):
+    n = data.draw(st.integers(0, 6))
+    A = data.draw(matrices(F, n, n))
+    assert det(A.transpose()) == det(A)

@@ -222,8 +222,9 @@ def test_det_bareiss_matches_gf():
 @pytest.mark.parametrize("n", [1, 6, 12])
 @pytest.mark.parametrize("F", [FQ, F3], ids=repr)
 def test_adjugate_eliminates_once(monkeypatch, F, n):
-    """adjugate reads every rank case off one rref: full rank and rank
-    n - 1 add one determinant each, lower ranks none."""
+    """adjugate reads R, T and det(M) off one elimination: full rank and
+    ranks below n - 1 run no other, rank n - 1 adds the one determinant
+    of an (n-1) x (n-1) minor, itself one elimination."""
     rng = random.Random(n)
     rrefs = record_calls(monkeypatch, linalg.rref, linalg._echelon)
     dets = record_calls(monkeypatch, linalg.det)
@@ -231,7 +232,10 @@ def test_adjugate_eliminates_once(monkeypatch, F, n):
         M = matrix_of_rank(rng, F, n, r)
         del rrefs[:], dets[:]
         adjugate(M)
-        assert (len(rrefs), len(dets)) == (1, int(r >= n - 1)), (r, dets)
+        minor = [(n - 1, n - 1)] if r == n - 1 else []
+        assert rrefs == [("_echelon", n, n)] + \
+            [("_echelon",) + shape for shape in minor], r
+        assert dets == [("det",) + shape for shape in minor], r
 
 
 def _greedy_completion(F, prefix, candidates):
@@ -287,7 +291,8 @@ def test_echelon_without_transform_matches_rref(F):
         if rows > 1 and rng.random() < 0.5:
             M = Matrix(F, M.data[:-1] + M.data[:1], cols=cols)
         R, _, pivots = rref(M)
-        ech, ech_pivots = _echelon(M, False)
+        ech, ech_pivots, d = _echelon(M, False)
+        assert d == (det(M) if rows == cols else F.zero)
         assert ech_pivots == pivots
         assert [tuple(row) for row in ech] == list(R.data[:len(pivots)])
         assert all(type(x) is type(F.zero) for row in ech for x in row)
@@ -295,7 +300,7 @@ def test_echelon_without_transform_matches_rref(F):
     assert deficient > 10
     # every row below the first reduces to zero
     M = Matrix(F, [[1, 2, 3], [2, 4, 6], [3, 6, 9], [0, 0, 0]])
-    assert _echelon(M, False) == ([list(rref(M)[0].row(0))], [0])
+    assert _echelon(M, False)[:2] == ([list(rref(M)[0].row(0))], [0])
 
 
 @pytest.mark.parametrize("F", [FQ, F2, F3], ids=repr)
@@ -421,8 +426,10 @@ def test_packed_echelon_matches_reference(F):
     deficient = 0
     for M in _gfp_matrices(rng, F, 40):
         rows, pivots = echelon_gfp_reference(M, True)
-        assert _echelon(M, True) == (rows, pivots)
-        assert _echelon(M, False) == echelon_gfp_reference(M, False)
+        assert _echelon(M, True)[:2] == (rows, pivots)
+        assert _echelon(M, False)[:2] == echelon_gfp_reference(M, False)
+        if M.rows == M.cols:
+            assert _echelon(M, True)[2] == det(M)
         R, T, rref_pivots = rref(M)
         assert R.data == tuple(tuple(row[:M.cols]) for row in rows)
         assert T.data == tuple(tuple(row[M.cols:]) for row in rows)
@@ -474,7 +481,8 @@ def test_every_slot_width_matches_reference(p, n, nb):
               Matrix(F, [[int(j == c) - int(j == n - 1) for j in range(n)]
                          for c in range(n - 1)] + last),
               matrix_of_rank(rng, F, n, n - 1)):
-        assert _echelon(M, True) == echelon_gfp_reference(M, True)
+        assert _echelon(M, True)[:2] == echelon_gfp_reference(M, True)
+        assert _echelon(M, True)[2] == det(M)
         assert M.mul(M) == mul_gfp_reference(M, M)
 
 

@@ -81,10 +81,20 @@ def test_rref_and_rank_match_sympy(F):
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)
 def test_det_and_inverse_match_sympy(F):
+    """Random matrices up to n = 16, matrices of corank 1 and 2, whose
+    dependent rows the rational loop rescales as zero rows, and over the
+    rationals square matrices of wide entries; the 0 x 0 determinant is
+    one."""
     rng = random.Random(37 + F.characteristic())
     singular = 0
-    for n in [0, 1, 1, 2, 2, 3] + [rng.randint(2, 7) for _ in range(40)]:
-        M = random_matrix(rng, F, n, n)
+    mats = [random_matrix(rng, F, n, n) for n in
+            [0, 1, 1, 2, 2, 3] + [rng.randint(2, 16) for _ in range(40)]]
+    mats += [matrix_of_rank(rng, F, n, n - c)
+             for n in (2, 5, 9, 16) for c in (1, 2)]
+    if F.characteristic() == 0:
+        mats += [wide_rational_matrix(rng, n, n) for n in (1, 3, 6, 9, 16)]
+    assert det(Matrix(F, [])) == F.one
+    for M in mats:
         D = to_sympy(M)
         d = det(M)
         assert d == scalar_from_sympy(F, D.det())

@@ -9,6 +9,20 @@ from helpers import (ALL_FIELDS, F2, F3, FQ, hyperbolic_gf2, paper5,
                      rad_char2, random_instance, random_scalar, random_vector)
 
 
+class TestInit:
+    def test_index_out_of_range(self):
+        with pytest.raises(LengthMismatch):
+            QuadraticForm(FQ, [1, 2], {(0, 2): 3})
+
+    def test_float_index(self):
+        with pytest.raises(LengthMismatch):
+            QuadraticForm(FQ, [1, 2], {(0.5, 1): 3})
+
+    def test_bool_index(self):
+        with pytest.raises(LengthMismatch):
+            QuadraticForm(FQ, [1, 2], {(False, True): 3})
+
+
 class TestEvalQ:
     def test_paper_basis_vector(self):
         assert paper5().eval_q((0, 1, 0)) == Fraction(1, 2)
