@@ -12,8 +12,8 @@ coset chasing via linked_coset(), kept separate so tests can cross-validate.
 """
 
 from .errors import LengthMismatch, NotInSHat, RadicalConditionViolated
-from .linalg import (Matrix, annihilator, combine, complete_to_ambient, dot,
-                     extend_basis, invert_matrix, solve, vec_add, vec_scale)
+from .linalg import (Matrix, _extended, annihilator, complete_to_ambient,
+                     dot, invert_matrix, solve, vec_add, vec_scale)
 from .quadform import MetricSpace, QuadraticForm
 
 
@@ -82,16 +82,16 @@ def adapted_basis(inst):
     echelon; neither completion builds a transform.  a^-1 is one more
     elimination.
     """
-    F = inst.field
     rad = inst.radical()
     d, m, n = rad.dim, inst.m, inst.n
-    if all(rad.subspace.contains(b) for b in inst.s_basis[:d]):
-        s_vectors = list(inst.s_basis)
-        coords = Matrix.identity(F, m)
+    s_vectors = inst._basis
+    leading = s_vectors.submatrix(range(d), range(n))
+    if rad.subspace._coordinates(leading) is not None:
+        coords = Matrix.identity(inst.field, m)
     else:
-        s_vectors = extend_basis(rad.subspace, inst.subspace)
-        coords = inst.coords_matrix(s_vectors)
-    a = Matrix._trusted(F, zip(*complete_to_ambient(F, s_vectors, n)), n)
+        s_vectors = _extended(rad.subspace, inst.subspace)
+        coords = inst._coords(s_vectors)
+    a = complete_to_ambient(s_vectors).transpose()
     return AdaptedBasis(a, invert_matrix(a), coords, d, m, n)
 
 
@@ -112,8 +112,7 @@ def b_linked(inst, a_star, x):
     a_star = tuple(F.scalar(v) for v in a_star)
     coords = inst.coords_of(x)
     _check_in_s_hat(inst, inst.radical(), a_star)
-    return inst.polar_gram().mul_vec(coords) == tuple(
-        dot(F, a_star, b) for b in inst.s_basis)
+    return inst.polar_gram().mul_vec(coords) == inst._basis.mul_vec(a_star)
 
 
 def linked_coset(inst, f_star):
@@ -122,21 +121,19 @@ def linked_coset(inst, f_star):
     f_star = tuple(F.scalar(v) for v in f_star)
     rad = inst.radical()
     _check_in_s_hat(inst, rad, f_star)
-    rhs = tuple(dot(F, f_star, b) for b in inst.s_basis)
-    sol = solve(inst.polar_gram(), rhs)
+    sol = solve(inst.polar_gram(), inst._basis.mul_vec(f_star))
     assert sol is not None  # guaranteed once f* annihilates the radical
     return LinkedCoset(inst.from_coords(sol[0]), rad.subspace)
 
 
 def linked_forms(inst, s):
     """Forms linked to s: a representative from G coords(s), plus ann(S)."""
-    F = inst.field
+    m, n = inst.m, inst.n
     coords = inst.coords_of(s)
     ab = adapted_basis(inst)
-    vals = combine(F, inst.polar_gram().mul_vec(coords), ab.coords.data,
-                   inst.m)
-    rep = combine(F, vals, ab.a_inv.data, inst.n)
-    return LinkedCoset(rep, annihilator(inst.subspace))
+    vals = Matrix._trusted(inst.field, [inst.polar_gram().mul_vec(coords)], m)
+    rep = vals.mul(ab.coords).mul(ab.a_inv.submatrix(range(m), range(n)))
+    return LinkedCoset(rep.row(0), annihilator(inst.subspace))
 
 
 def dualize(inst):
@@ -163,7 +160,7 @@ def dualize(inst):
     upper = {(i, j): g22_hat[i, j] for i in range(t) for j in range(i + 1, t)}
     s_hat = annihilator(inst.radical().subspace)
     r_hat = annihilator(inst.subspace)
-    dual_basis = [ab.dual_row(i) for i in range(d, n)]
+    dual_basis = ab.a_inv.submatrix(range(d, n), range(n))
     dual = MetricSpace._trusted(F, n, dual_basis,
                                 QuadraticForm._trusted(F, diag, upper), s_hat)
     return DualFormResult(s_hat, r_hat, dual, ab, g22, g22_hat)
@@ -177,8 +174,8 @@ def double_dual_check(inst):
     if back.subspace != inst.subspace:
         return False
     # inst.s_basis is a basis of back's S, so its coordinates are invertible
-    back = back._change_of_basis(back.coords_matrix(inst.s_basis))
-    return back.form == inst.form and back.s_basis == inst.s_basis
+    back = back._change_of_basis(back._coords(inst._basis))
+    return back.form == inst.form and back._basis == inst._basis
 
 
 def converse_relation_check(inst, pairs):

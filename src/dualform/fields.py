@@ -8,8 +8,9 @@ formatting of the textual encoding ("num/den" or "num" for rationals, decimal
 residues for GF(p)).  The matrix and form kernels in ``linalg`` and
 ``quadform`` bypass them: they run native ``int``/``Fraction`` operators and,
 over GF(p), reduce modulo ``characteristic()`` once per computed entry.  Over
-the rationals, elimination and products run on ``int`` rows with cleared
-denominators and build one ``Fraction`` per result entry.
+the rationals a matrix keeps its rows cleared of denominators, as ``int``
+rows over one denominator each, between elimination, products, transposes
+and submatrices, and builds its ``Fraction`` entries only when one is read.
 """
 
 import re

@@ -11,7 +11,7 @@ import operator
 import sys
 from array import array
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .errors import LengthMismatch, NotNested, Singular
 
@@ -72,13 +72,26 @@ def _slots(x, count, nb, code):
     return [lo + (hi << 64) for lo, hi in zip(halves, halves)]
 
 
-def _int_rows(rows):
-    """Rational rows as int rows over the lcm of their denominators."""
+def _int_rows(M):
+    """The rows of the rational matrix M as (ints, dens): row i is
+    ints[i] / dens[i], dens[i] the lcm of the denominators of its
+    entries, so the form is canonical."""
     ints, dens = [], []
-    for row in rows:
+    for row in M.data:
         pairs = [x.as_integer_ratio() for x in row]
         dens.append(lcm(*[e for _, e in pairs]))
         ints.append([n * (dens[-1] // e) for n, e in pairs])
+    return ints, dens
+
+
+def _reduced(ints, dens):
+    """Cleared rows made canonical in place: each int row and its positive
+    denominator divided by their gcd."""
+    for i, (row, d) in enumerate(zip(ints, dens)):
+        g = gcd(d, *row)
+        if g != 1:
+            ints[i] = [x // g for x in row]
+            dens[i] = d // g
     return ints, dens
 
 
@@ -92,8 +105,18 @@ class Matrix:
     the rationals, ``int`` in [0, p) over GF(p)), as every result computed
     here from canonical operands is.
 
-    Over the rationals, products clear the denominators of each row and
-    column and build one ``Fraction`` per entry from an int dot product.
+    Over the rationals a matrix may also hold its rows cleared of
+    denominators, ``_q = (ints, dens)``: row i is ints[i] / dens[i], a list
+    of ints over one positive int, divided by their gcd so the form is
+    canonical.  Products, transposes, submatrices and the echelon loop
+    read and return that form; a matrix built from ``Fraction`` rows
+    clears them once, on first use, and keeps the result, and a matrix
+    computed here builds its ``Fraction`` rows ``data`` only when an entry
+    is first read.  Equality and hash depend only on the entries.  With
+    e_k the denominators of B's cleared rows and L their lcm, row i of A B
+    is the int dot products of A's row i, entry k times L / e_k, with the
+    columns of B's int rows, over dens[i] * L.
+
     Over GF(p) the product A B packs each row of B (k x m) into one int
     with m slots, so row i of A B is sum_j A[i][j] * packed_j, one big-int
     multiply-add per entry of A, unpacked once.  A slot sums k products of
@@ -102,7 +125,7 @@ class Matrix:
     that bound.
     """
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "data", "_q")
 
     def __init__(self, field, data, cols=None):
         self.field = field
@@ -115,6 +138,7 @@ class Matrix:
         for row in self.data:
             if len(row) != self.cols:
                 raise LengthMismatch("ragged matrix rows")
+        self._q = None
 
     @classmethod
     def _trusted(cls, field, rows, cols):
@@ -123,13 +147,48 @@ class Matrix:
         self.data = tuple(map(tuple, rows))
         self.rows = len(self.data)
         self.cols = cols
+        self._q = None
         return self
 
     @classmethod
+    def _cleared(cls, field, ints, dens, cols):
+        """Internal constructor over the rationals from canonical cleared
+        rows (see the class docstring); data is built on first read."""
+        self = object.__new__(cls)
+        self.field = field
+        self.rows = len(ints)
+        self.cols = cols
+        self._q = (ints, dens)
+        return self
+
+    def __getattr__(self, name):
+        # Only a rational matrix held as cleared rows has no data yet.
+        if name != "data":
+            raise AttributeError(name)
+        ints, dens = self._q
+        zero = self.field.zero
+        self.data = data = tuple([
+            tuple([Fraction(x, d) if x else zero for x in row])
+            for row, d in zip(ints, dens)])
+        return data
+
+    def _ints(self):
+        """The cleared rows (ints, dens) of a rational matrix."""
+        if self._q is None:
+            self._q = _int_rows(self)
+        return self._q
+
+    @classmethod
+    def _units(cls, field, idx, n):
+        """The unit vectors e_i of F^n for i in idx, as rows."""
+        rows = [[int(i == j) for j in range(n)] for i in idx]
+        if field.characteristic():
+            return cls._trusted(field, rows, n)
+        return cls._cleared(field, rows, [1] * len(rows), n)
+
+    @classmethod
     def identity(cls, field, n):
-        one, zero = field.one, field.zero
-        return cls._trusted(field, [[one if i == j else zero for j in range(n)]
-                                    for i in range(n)], n)
+        return cls._units(field, range(n), n)
 
     @classmethod
     def zeros(cls, field, rows, cols):
@@ -146,13 +205,39 @@ class Matrix:
         return tuple(row[j] for row in self.data)
 
     def transpose(self):
-        cols = zip(*self.data) if self.data else [()] * self.cols
-        return Matrix._trusted(self.field, cols, self.rows)
+        F, q = self.field, self._q
+        if q is None:
+            cols = zip(*self.data) if self.data else [()] * self.cols
+            return Matrix._trusted(F, cols, self.rows)
+        ints, dens = q
+        L = lcm(*dens)
+        ints = [row if d == L else [x * (L // d) for x in row]
+                for row, d in zip(ints, dens)]
+        cols = list(map(list, zip(*ints))) if ints else \
+            [[] for _ in range(self.cols)]
+        return Matrix._cleared(F, *_reduced(cols, [L] * self.cols),
+                               self.rows)
 
     def submatrix(self, row_idx, col_idx):
-        return Matrix._trusted(self.field,
-                               [[self.data[i][j] for j in col_idx]
-                                for i in row_idx], len(col_idx))
+        q = self._q
+        rows = self.data if q is None else q[0]
+        if type(col_idx) is range and col_idx.step == 1:
+            lo, hi = col_idx.start, col_idx.stop
+            picked = [rows[i][lo:hi] for i in row_idx]
+        else:
+            picked = [[rows[i][j] for j in col_idx] for i in row_idx]
+        if q is None:
+            return Matrix._trusted(self.field, picked, len(col_idx))
+        return Matrix._cleared(self.field, *_reduced(
+            picked, [q[1][i] for i in row_idx]), len(col_idx))
+
+    def _vstack(self, other):
+        """The rows of self followed by the rows of other."""
+        F = self.field
+        if F.characteristic():
+            return Matrix._trusted(F, self.data + other.data, self.cols)
+        (a, da), (b, db) = self._ints(), other._ints()
+        return Matrix._cleared(F, a + b, da + db, self.cols)
 
     def mul(self, other):
         if self.cols != other.rows:
@@ -160,12 +245,15 @@ class Matrix:
         F, m = self.field, other.cols
         p = F.characteristic()
         if not p:
-            rows, row_dens = _int_rows(self.data)
-            cols, col_dens = _int_rows(other.transpose().data)
-            return Matrix._trusted(F, [
-                [Fraction(sum(map(operator.mul, row, col)), d * e)
-                 for col, e in zip(cols, col_dens)]
-                for row, d in zip(rows, row_dens)], m)
+            (a, da), (b, db) = self._ints(), other._ints()
+            L = lcm(*db)
+            if any(e != L for e in db):
+                scale = [L // e for e in db]
+                a = [list(map(operator.mul, row, scale)) for row in a]
+            cols = list(zip(*b)) if b else [()] * m
+            return Matrix._cleared(F, *_reduced(
+                [[sum(map(operator.mul, row, col)) for col in cols]
+                 for row in a], [d * L for d in da]), m)
         nb, code = _slot(self.cols * (p - 1) ** 2 + 1)
         packed = [_pack(row, nb, code) for row in other.data]
         return Matrix._trusted(F, [
@@ -186,11 +274,15 @@ class Matrix:
                                    for row in self.data], self.cols)
 
     def is_zero(self):
-        return not any(map(any, self.data))
+        return not any(map(any, self.data if self._q is None
+                           else self._q[0]))
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.field == other.field
-                and self.data == other.data)
+        if not (isinstance(other, Matrix) and self.field == other.field):
+            return False
+        if self.field.characteristic():
+            return self.data == other.data
+        return self._ints() == other._ints()
 
     def __hash__(self):
         return hash((self.field, self.data))
@@ -226,13 +318,13 @@ def combine(F, coeffs, rows, n):
 
 def _echelon(M, transform):
     """The one elimination loop: rref, det and without transform every
-    rank, kernel, span and completion question.  Returns (rows, pivots,
-    det), with det zero unless M is square and of full rank.
+    rank, kernel, span and completion question.  Returns (W, pivots, det),
+    W a Matrix and det zero unless M is square and of full rank.
 
     The pivot of each column is its first nonzero entry at or below the
     current row.  With transform each working row holds a row of M
-    followed by the same row of T, and rows are all M.rows rows [R | T] of
-    rref; without it no T is built and rows are the len(pivots) nonzero
+    followed by the same row of T, and W holds all M.rows rows [R | T] of
+    rref; without it no T is built and W holds the len(pivots) nonzero
     rows of R, the same as rref's.
 
     Over GF(p) each working row is one packed int (see _pack): entry j in
@@ -261,16 +353,17 @@ def _echelon(M, transform):
     pivot columns and its own) and s in a pivot row (its pivot column
     replaced by its own).  So every pivot row holds prev in its pivot
     column, and at full rank det(M) = sign * prev / prod(dens), sign that
-    of the row swaps.  In the end a pivot row is multiplied by the inverse
-    of its pivot; any other row is divided by its entry in its own column
-    own[i] of T, nonzero because no pivot row is nonzero there.
+    of the row swaps.  In the end a pivot row is divided by its pivot and
+    any other row by its entry in its own column own[i] of T, nonzero
+    because no pivot row is nonzero there: the divisor becomes the row's
+    denominator, and W holds the cleared rows.
     """
     F = M.field
     p, n, k = F.characteristic(), M.rows, M.cols
     pivots = []
     r, sign = 0, 1
+    width = k + n if transform else k
     if p:
-        width = k + n if transform else k
         nb, code = _slot(p + min(n, k) * (p - 1) ** 2)
         w = 8 * nb
         mask = (1 << w) - 1
@@ -303,14 +396,15 @@ def _echelon(M, transform):
                 break
         if not transform:
             del a[r:]
-        return ([[x % p for x in _slots(row, width, nb, code)] for row in a],
-                pivots, sign * d % p if r == n == k else F.zero)
-    rows, dens = _int_rows(M.data)
+        rows = [[x % p for x in _slots(row, width, nb, code)] for row in a]
+        return (Matrix._trusted(F, rows, width), pivots,
+                sign * d % p if r == n == k else F.zero)
+    rows, dens = M._ints()
     if transform:
         a = [row + [d if i == j else 0 for j in range(n)]
              for i, (row, d) in enumerate(zip(rows, dens))]
     else:
-        a = rows
+        a = list(rows)
     own = list(range(n))
     prev = 1
     for c in range(k):
@@ -338,21 +432,28 @@ def _echelon(M, transform):
             break
     if not transform:
         del a[r:]
+    out = []
     for i, row in enumerate(a):
-        inv = F.inv(row[pivots[i]]) if i < r else \
-            Fraction(1, row[k + own[i]])
-        num, d = inv.numerator, inv.denominator  # inv = +-1/d
-        a[i] = [Fraction(num * x, d) if x else F.zero for x in row]
-    return a, pivots, \
+        if i < r:
+            inv = F.inv(row[pivots[i]])
+            num, d = inv.numerator, inv.denominator  # inv = +-1/d
+        else:
+            v = row[k + own[i]]
+            num, d = (1, v) if v > 0 else (-1, -v)
+        g = gcd(d, *row)
+        if num != 1 or g != 1:
+            a[i] = [num * x // g for x in row]
+        out.append(d // g)
+    return Matrix._cleared(F, a, out, width), pivots, \
         Fraction(sign * prev, prod(dens)) if r == n == k else F.zero
 
 
 def _rref(M):
     """rref's (R, T, pivots) followed by det(M)."""
-    F, k = M.field, M.cols
-    a, pivots, d = _echelon(M, True)
-    return (Matrix._trusted(F, [row[:k] for row in a], k),
-            Matrix._trusted(F, [row[k:] for row in a], M.rows), pivots, d)
+    W, pivots, d = _echelon(M, True)
+    rows = range(M.rows)
+    return (W.submatrix(rows, range(M.cols)),
+            W.submatrix(rows, range(M.cols, W.cols)), pivots, d)
 
 
 def rref(M):
@@ -409,7 +510,7 @@ def adjugate(M):
     if len(pivots) < n - 1:
         return Matrix.zeros(F, n, n)
     j = next(c for c in range(n) if c not in pivots)
-    x = _null_vector(R, pivots, j)
+    x = _null_rows(R, pivots, [j]).row(0)
     y = T.row(n - 1)
     i = next(k for k, v in enumerate(y) if v)
     minor = det(M.submatrix([k for k in range(n) if k != i],
@@ -427,8 +528,8 @@ class Subspace:
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = basis  # Matrix, rows in canonical RREF, full row rank
-        self.pivots = [next(j for j, x in enumerate(row) if x)
-                       for row in basis.data]
+        self.pivots = [next(j for j, x in enumerate(row) if x) for row in
+                       (basis.data if basis._q is None else basis._q[0])]
 
     @classmethod
     def from_rows(cls, field, ambient_dim, rows):
@@ -440,8 +541,7 @@ class Subspace:
     @classmethod
     def _span(cls, M):
         """Subspace spanned by the rows of M, which are canonical."""
-        rows = _echelon(M, False)[0] if M.rows else ()
-        return cls(M.field, M.cols, Matrix._trusted(M.field, rows, M.cols))
+        return cls(M.field, M.cols, _echelon(M, False)[0] if M.rows else M)
 
     @classmethod
     def zero(cls, field, ambient_dim):
@@ -474,6 +574,13 @@ class Subspace:
             return None
         return coeffs
 
+    def _coordinates(self, V):
+        """coordinates for the rows of the matrix V, by one product: the
+        matrix of V's entries at the pivots, or None if it does not
+        recombine the basis rows into V."""
+        P = V.submatrix(range(V.rows), self.pivots)
+        return P if P.mul(self.basis) == V else None
+
     def is_subspace_of(self, other):
         return all(other.contains(self.basis.row(i))
                    for i in range(self.dim))
@@ -492,28 +599,43 @@ class Subspace:
                 f"basis={[list(r) for r in self.basis.data]})")
 
 
-def _null_vector(R, pivots, f):
-    """The solution x of R x = 0, R in reduced row-echelon form, with
-    x_f = 1 at the free column f and 0 at the other free columns."""
-    F = R.field
-    v = [F.zero] * R.cols
-    v[f] = F.one
-    for r, c in enumerate(pivots):
-        v[c] = -R[r, f]
-    return _canon(F.characteristic(), v)
+def _null_rows(R, pivots, free):
+    """Solutions x of R x = 0, R in reduced row-echelon form, as rows: row
+    i is 1 at the free column free[i], 0 at the other free columns and
+    -R[r][free[i]] at the pivot column of row r.  Over the rationals row i
+    is column free[i] of R, cleared, so it keeps that column's
+    denominator."""
+    F, k = R.field, R.cols
+    X = R.submatrix(range(len(pivots)), free).transpose()
+    p = F.characteristic()
+    if p:
+        cols = [[-x % p for x in col] for col in X.data]
+        dens = [1] * len(cols)
+    else:
+        ints, dens = X._ints()
+        cols = [[-x for x in col] for col in ints]
+    rows = []
+    for f, col, d in zip(free, cols, dens):
+        v = [0] * k
+        v[f] = d
+        for c, x in zip(pivots, col):
+            v[c] = x
+        rows.append(v)
+    if p:
+        return Matrix._trusted(F, rows, k)
+    return Matrix._cleared(F, rows, dens, k)
 
 
 def _null_space(R, pivots):
     """Solution space of R x = 0 for R in reduced row-echelon form."""
-    rows = [_null_vector(R, pivots, f) for f in range(R.cols)
-            if f not in pivots]
-    return Subspace._span(Matrix._trusted(R.field, rows, R.cols))
+    free = [f for f in range(R.cols) if f not in pivots]
+    return Subspace._span(_null_rows(R, pivots, free))
 
 
 def kernel(M):
     """Solution space of M x = 0 as a Subspace of F^cols."""
-    rows, pivots, _ = _echelon(M, False)
-    return _null_space(Matrix._trusted(M.field, rows, M.cols), pivots)
+    W, pivots, _ = _echelon(M, False)
+    return _null_space(W, pivots)
 
 
 def solve(M, b):
@@ -536,10 +658,11 @@ def annihilator(T):
     return _null_space(T.basis, T.pivots)
 
 
-def _kept_units(field, rows, k):
+def _kept_units(M):
     """Indices i, in order, of the unit vectors e_i of F^k that greedy
-    completion of the independent rows keeps: e_i, taken in index order,
-    is kept when it lies outside the span of the vectors before it.
+    completion of the independent rows of M (k columns) keeps: e_i, taken
+    in index order, is kept when it lies outside the span of the vectors
+    before it.
 
     They are the i that are not pivots of the rows' echelon form with the
     columns read from the last one.  Proof: a skipped e_j lies in the span
@@ -551,9 +674,21 @@ def _kept_units(field, rows, k):
     Read from column k-1 down, these two ranks count the pivots up to and
     before column i, so e_i is skipped exactly when i is a pivot.
     """
-    rev = Matrix._trusted(field, [row[::-1] for row in rows], k)
+    k = M.cols
+    rev = M.submatrix(range(M.rows), range(k - 1, -1, -1))
     pivots = set(_echelon(rev, False)[1])
     return [i for i in range(k) if k - 1 - i not in pivots]
+
+
+def _extended(inner, outer):
+    """extend_basis as one Matrix of rows."""
+    if inner.ambient_dim != outer.ambient_dim or inner.field != outer.field:
+        raise NotNested("subspaces live in different ambient spaces")
+    coords = outer._coordinates(inner.basis)
+    if coords is None:
+        raise NotNested("inner is not contained in outer")
+    return inner.basis._vstack(outer.basis.submatrix(
+        _kept_units(coords), range(outer.ambient_dim)))
 
 
 def extend_basis(inner, outer):
@@ -564,19 +699,10 @@ def extend_basis(inner, outer):
     coordinates their entries at outer's pivots, so this is the completion
     of those d x dim(outer) coordinate rows with unit vectors.
     """
-    if inner.ambient_dim != outer.ambient_dim or inner.field != outer.field:
-        raise NotNested("subspaces live in different ambient spaces")
-    coords = inner.basis.submatrix(range(inner.dim), outer.pivots)
-    if coords.mul(outer.basis) != inner.basis:
-        raise NotNested("inner is not contained in outer")
-    kept = _kept_units(inner.field, coords.data, outer.dim)
-    return list(inner.basis.data) + [outer.basis.row(i) for i in kept]
+    return list(_extended(inner, outer).data)
 
 
-def complete_to_ambient(field, prefix_rows, ambient_dim):
-    """Extend independent prefix rows to a basis of F^n with standard
-    basis vectors in index order."""
-    n = ambient_dim
-    eye = Matrix.identity(field, n)
-    return [tuple(row) for row in prefix_rows] + \
-        [eye.row(i) for i in _kept_units(field, prefix_rows, n)]
+def complete_to_ambient(M):
+    """The independent rows of M followed by the standard basis vectors,
+    in index order, that greedy completion to a basis of F^cols keeps."""
+    return M._vstack(Matrix._units(M.field, _kept_units(M), M.cols))

@@ -33,10 +33,8 @@ class NormalFormResult:
 
 def _gram_array(inst):
     """Rows [G | C] for the radical-first basis, and the radical's dim."""
-    F, m = inst.field, inst.m
     rad = inst.radical()
-    C = Matrix._trusted(
-        F, complete_to_ambient(F, rad.in_domain.basis.data, m), m)
+    C = complete_to_ambient(rad.in_domain.basis)
     G = C.mul(inst.polar_gram()).mul(C.transpose())
     return [list(g + c) for g, c in zip(G.data, C.data)], rad.dim
 

@@ -8,8 +8,8 @@ values.
 """
 
 from .errors import LengthMismatch, NotInSubspace, Singular
-from .linalg import (Matrix, Subspace, _canon, combine, dot, kernel, rank,
-                     rref, vec_add)
+from .linalg import (Matrix, Subspace, _canon, dot, kernel, rank, rref,
+                     vec_add)
 
 
 class QuadraticForm:
@@ -79,6 +79,9 @@ class MetricSpace:
 
     The form coefficients refer to s_basis, an ordered basis of S that need
     not coincide with the canonical RREF basis stored in the subspace.
+    The basis is kept as one m x n Matrix, so over the rationals its rows
+    are cleared of denominators once and every product with it (span
+    rref, coordinates, change of basis, the radical) shares them.
 
     An instance is immutable, so mutating s_basis or form after
     construction is unsupported.  It memoizes two derived facts: its
@@ -89,27 +92,26 @@ class MetricSpace:
     internal ones are, runs that rref on its first coordinate question.
     """
 
-    __slots__ = ("field", "n", "subspace", "s_basis", "form", "_span_t",
+    __slots__ = ("field", "n", "subspace", "_basis", "form", "_span_t",
                  "_radical")
 
     def __init__(self, field, n, s_basis, form, subspace=None):
         self.field = field
         self.n = n
-        self.s_basis = tuple(tuple(field.scalar(x) for x in row)
-                             for row in s_basis)
-        for row in self.s_basis:
+        rows = [tuple(field.scalar(x) for x in row) for row in s_basis]
+        for row in rows:
             if len(row) != n:
                 raise LengthMismatch("basis vector length != n")
+        self._basis = Matrix._trusted(field, rows, n)
         self._span_t = None
         if subspace is None:
-            R, self._span_t, pivots = rref(
-                Matrix._trusted(field, self.s_basis, n))
-            subspace = Subspace(field, n, Matrix._trusted(
-                field, R.data[:len(pivots)], n))
+            R, self._span_t, pivots = rref(self._basis)
+            subspace = Subspace(field, n,
+                                R.submatrix(range(len(pivots)), range(n)))
         self.subspace = subspace
-        if subspace.dim != len(self.s_basis):
+        if subspace.dim != len(rows):
             raise LengthMismatch("s_basis is linearly dependent")
-        if form.m != len(self.s_basis):
+        if form.m != len(rows):
             raise LengthMismatch("coefficient table size != dim S")
         if form.field != field:
             raise LengthMismatch("form defined over a different field")
@@ -117,17 +119,23 @@ class MetricSpace:
         self._radical = None
 
     @classmethod
-    def _trusted(cls, field, n, s_basis, form, subspace):
-        """Internal constructor, unchecked: canonical s_basis spanning S."""
+    def _trusted(cls, field, n, basis, form, subspace):
+        """Internal constructor, unchecked: basis an m x n Matrix of
+        canonical rows spanning S."""
         self = object.__new__(cls)
-        self.field, self.n, self.s_basis = field, n, tuple(s_basis)
+        self.field, self.n, self._basis = field, n, basis
         self.subspace, self.form = subspace, form
         self._span_t = self._radical = None
         return self
 
     @property
+    def s_basis(self):
+        """The basis vectors of S, as a tuple of rows."""
+        return self._basis.data
+
+    @property
     def m(self):
-        return len(self.s_basis)
+        return self._basis.rows
 
     def coords_of(self, vec):
         """Coordinates of an ambient vector over s_basis; NotInSubspace if
@@ -143,23 +151,28 @@ class MetricSpace:
         transform T, so v's coordinates are T^t (v[p_i])_i.  Recombining the
         canonical rows tests membership.
         """
-        F, n = self.field, self.n
+        n = self.n
         if any(len(v) != n for v in vectors):
             raise LengthMismatch("vector length != n")
-        V = Matrix(F, vectors, cols=n)
-        P = V.submatrix(range(V.rows), self.subspace.pivots)
-        if P.mul(self.subspace.basis) != V:
+        return self._coords(Matrix(self.field, vectors, cols=n))
+
+    def _coords(self, V):
+        """coords_matrix for the rows of the k x n Matrix V."""
+        P = self.subspace._coordinates(V)
+        if P is None:
             raise NotInSubspace("vector outside S")
         if self._span_t is None:
-            self._span_t = rref(Matrix._trusted(F, self.s_basis, n))[1]
+            self._span_t = rref(self._basis)[1]
         return P.mul(self._span_t).transpose()
 
     def from_coords(self, coords):
         """Ambient vector with the given s_basis coordinates."""
-        if len(coords) != self.m:
+        m = self.m
+        if len(coords) != m:
             raise LengthMismatch("coordinate length != m")
         F = self.field
-        return combine(F, [F.scalar(c) for c in coords], self.s_basis, self.n)
+        row = Matrix._trusted(F, [[F.scalar(c) for c in coords]], m)
+        return row.mul(self._basis).row(0)
 
     def eval_q(self, coords):
         """Value of the form at the given s_basis coordinates."""
@@ -198,8 +211,7 @@ class MetricSpace:
         """Radical of the polar form, in ambient and in s_basis coordinates."""
         if self._radical is None:
             in_domain = kernel(self.polar_gram())
-            rows = [self.from_coords(r) for r in in_domain.basis.data]
-            ambient = Subspace._span(Matrix._trusted(self.field, rows, self.n))
+            ambient = Subspace._span(in_domain.basis.mul(self._basis))
             self._radical = Radical(ambient, in_domain)
         return self._radical
 
@@ -237,7 +249,7 @@ class MetricSpace:
         F, m, p = self.field, self.m, self.field.characteristic()
         Tt = T.transpose()
         M = Tt.mul(self.form.matrix()).mul(T).data
-        new_basis = Tt.mul(Matrix._trusted(F, self.s_basis, self.n)).data
+        new_basis = Tt.mul(self._basis)
         pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
         sums = _canon(p, [M[i][j] + M[j][i] for i, j in pairs])
         form = QuadraticForm._trusted(F, [M[i][i] for i in range(m)],
@@ -247,7 +259,7 @@ class MetricSpace:
     def __eq__(self, other):
         return (isinstance(other, MetricSpace)
                 and self.field == other.field and self.n == other.n
-                and self.s_basis == other.s_basis and self.form == other.form)
+                and self._basis == other._basis and self.form == other.form)
 
     def __repr__(self):
         return (f"MetricSpace(n={self.n}, m={self.m}, "

@@ -25,6 +25,14 @@ class LinearMap:
             raise Singular("linear map is not bijective")
         self.matrix = matrix
 
+    @classmethod
+    def _trusted(cls, matrix):
+        """Internal constructor, unchecked: matrix is square and
+        invertible by construction."""
+        self = object.__new__(cls)
+        self.matrix = matrix
+        return self
+
     @property
     def field(self):
         return self.matrix.field
@@ -44,7 +52,7 @@ class LinearMap:
 
 def transpose_map(psi):
     """The dual-side map with <psi^T(a*), x> = <a*, psi(x)>."""
-    return LinearMap(psi.matrix.transpose())
+    return LinearMap._trusted(psi.matrix.transpose())
 
 
 def verify_similarity(inst, psi, c):
@@ -58,13 +66,24 @@ def verify_similarity(inst, psi, c):
     c = F.scalar(c)
     if F.is_zero(c):
         raise ZeroRatio("similarity ratio must be nonzero")
-    if inst.form.is_zero() and c != F.one:
-        return False
+    return _scales_form(inst, _image_coords(inst, psi), c)
+
+
+def _image_coords(inst, psi):
+    """The m x m matrix whose column i holds the s_basis coordinates of
+    psi(b_i), from the one product of s_basis with psi^t; None if some
+    psi(b_i) lies outside S."""
     try:
-        images = inst.coords_matrix([psi.apply(b) for b in inst.s_basis])
+        return inst._coords(inst._basis.mul(psi.matrix.transpose()))
     except NotInSubspace:
+        return None
+
+
+def _scales_form(inst, images, c):
+    """verify_similarity's verdict for a nonzero c, from _image_coords."""
+    F, form = inst.field, inst.form
+    if images is None or (form.is_zero() and c != F.one):
         return False
-    form = inst.form
     scaled = QuadraticForm(F, [F.mul(c, x) for x in form.diag],
                            {k: F.mul(c, v) for k, v in form.upper.items()})
     # psi is injective and maps S into S, so images is invertible
@@ -95,7 +114,8 @@ def theorem_psi_check(inst, psi, c):
         raise ZeroRatio("similarity ratio must be nonzero")
     if not inst.radical_condition_holds():
         raise RadicalConditionViolated("no dual form exists")
-    primal = verify_similarity(inst, psi, c)
+    images = _image_coords(inst, psi)
+    primal = _scales_form(inst, images, c)
     dres = dualize(inst)
     dual = verify_similarity(dres.dual, transpose_map(psi), c)
     ab = dres.adapted
@@ -105,9 +125,8 @@ def theorem_psi_check(inst, psi, c):
               for r in (1, 2, 3) for s in (1, 2, 3)}
     zero_ok = {(r, s): blocks[(r, s)].is_zero()
                for (r, s) in ((2, 1), (3, 1), (3, 2))}
-    preserves = all(inst.subspace.contains(psi.apply(b))
-                    for b in inst.s_basis)
-    return SimilarityReport(preserves, c, primal, dual, blocks, zero_ok)
+    return SimilarityReport(images is not None, c, primal, dual, blocks,
+                            zero_ok)
 
 
 def reflection(inst, s):
@@ -134,6 +153,7 @@ def reflection(inst, s):
         e_j = tuple(F.one if k == j else F.zero for k in range(n))
         cols.append(vec_sub(F, e_j,
                             vec_scale(F, F.mul(inv_qs, f_star[j]), s)))
-    psi_ext = LinearMap(Matrix._trusted(F, zip(*cols), n))
-    phi_s = inst.coords_matrix([psi_ext.apply(b) for b in inst.s_basis])
+    # an involution by construction, so no rank check
+    psi_ext = LinearMap._trusted(Matrix._trusted(F, zip(*cols), n))
+    phi_s = _image_coords(inst, psi_ext)
     return phi_s, psi_ext, f_star

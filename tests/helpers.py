@@ -205,8 +205,7 @@ def _radical_first_transform(inst):
     """m x m matrix whose columns are a radical-first coordinate basis."""
     from dualform.linalg import complete_to_ambient
     rad = inst.radical()
-    cols = complete_to_ambient(inst.field, rad.in_domain.basis.data, inst.m)
-    return Matrix(inst.field, list(zip(*cols)), cols=inst.m), rad.dim
+    return complete_to_ambient(rad.in_domain.basis).transpose(), rad.dim
 
 
 def pairwise_diagonalize(inst):

@@ -291,17 +291,21 @@ class TestConverseRelation:
             assert converse_relation_check(inst, pairs) is True
 
 
-def _gf3_not_radical_first():
-    """n = 24 over GF(3), dim S = 18: the coefficients touching the last
-    three s_basis vectors vanish, so the radical sits at the end of
+def _radical_last(F, n, m, d):
+    """A seeded instance of dim S = m in F^n whose coefficients touching
+    the last d s_basis vectors vanish, so the radical sits at the end of
     s_basis, not at its start."""
-    rng = random.Random(24)
-    n, m, d = 24, 18, 3
-    rows = random_subspace_basis(rng, F3, n, m)
-    diag = [random_scalar(rng, F3) for _ in range(m - d)] + [0] * d
-    upper = {(i, j): random_scalar(rng, F3)
+    rng = random.Random(n)
+    rows = random_subspace_basis(rng, F, n, m)
+    diag = [random_scalar(rng, F) for _ in range(m - d)] + [0] * d
+    upper = {(i, j): random_scalar(rng, F)
              for i in range(m - d) for j in range(i + 1, m - d)}
-    return MetricSpace(F3, n, rows, QuadraticForm(F3, diag, upper))
+    return MetricSpace(F, n, rows, QuadraticForm(F, diag, upper))
+
+
+def _gf3_not_radical_first():
+    """n = 24 over GF(3), dim S = 18, a radical of dimension 3 last."""
+    return _radical_last(F3, 24, 18, 3)
 
 
 @pytest.mark.parametrize("fixture, first, again", [("paper5.json", 8, 5),
@@ -333,6 +337,38 @@ def test_dualize_elimination_count(monkeypatch, fixture, first, again):
     dualize(inst)
     assert len(calls) == again, calls
     assert [c[0] for c in calls].count("rref") == 2, calls
+
+
+@pytest.mark.parametrize("fixture, first, again", [
+    ("paper5.json", [(3, 3), (3, 3), (2, 2), (2, 2)],
+     [(3, 3), (2, 2), (2, 2)]),
+    ("q-n16", [(12, 12), (12, 12), (10, 10), (10, 10)],
+     [(12, 12), (10, 10), (10, 10)])])
+def test_dualize_clears_each_rational_matrix_once(monkeypatch, fixture,
+                                                  first, again):
+    """Guard the cleared int rows: _int_rows, which clears a rational
+    matrix built from Fractions, is rebound and its shapes recorded.
+    Products, eliminations, submatrices and transposes pass cleared rows
+    on, and the instance keeps its s_basis cleared from the constructor,
+    so a dualize clears only what is built from form coefficients: the
+    polar Gram matrix (once, for the memoized radical), the form's matrix
+    for the change to the adapted basis, and the middle blocks of the
+    adapted polar Gram matrix and form matrix."""
+    if fixture == "q-n16":
+        inst = _radical_last(FQ, 16, 12, 2)
+        assert not all(inst.radical().subspace.contains(b)
+                       for b in inst.s_basis[:2])
+        inst = _radical_last(FQ, 16, 12, 2)
+    else:
+        path = os.path.join(os.path.dirname(__file__), "fixtures", fixture)
+        with open(path) as fh:
+            inst = parse_problem(fh.read())
+    calls = record_calls(monkeypatch, linalg._int_rows)
+    dualize(inst)
+    assert [c[1:] for c in calls] == first
+    del calls[:]
+    dualize(inst)
+    assert [c[1:] for c in calls] == again
 
 
 @pytest.mark.parametrize("fixture", ["paper5.json", "hyp_gf2.json"])

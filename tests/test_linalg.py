@@ -258,7 +258,8 @@ def test_one_rref_completion_matches_greedy(F):
         n = rng.randint(1, 6)
         m = (0, n)[trial] if trial < 2 else rng.randint(0, n)
         prefix = random_subspace_basis(rng, F, n, m)
-        assert complete_to_ambient(F, prefix, n) == \
+        completed = complete_to_ambient(Matrix(F, prefix, cols=n))
+        assert list(completed.data) == \
             _greedy_completion(F, prefix, Matrix.identity(F, n).data)
         # outer spanned by the prefix and candidates with repeats, zero
         # rows and combinations of the prefix
@@ -271,6 +272,12 @@ def test_one_rref_completion_matches_greedy(F):
                       outer):
             assert extend_basis(inner, outer) == _greedy_completion(
                 F, inner.basis.data, outer.basis.data)
+
+
+def _echelon_rows(M, transform):
+    """The rows of the echelon loop's result as lists, with its pivots."""
+    W, pivots, _ = _echelon(M, transform)
+    return [list(row) for row in W.data], pivots
 
 
 @pytest.mark.parametrize("F", [FQ, F2, F3, make_field("prime", 2**31 - 1)],
@@ -294,13 +301,13 @@ def test_echelon_without_transform_matches_rref(F):
         ech, ech_pivots, d = _echelon(M, False)
         assert d == (det(M) if rows == cols else F.zero)
         assert ech_pivots == pivots
-        assert [tuple(row) for row in ech] == list(R.data[:len(pivots)])
-        assert all(type(x) is type(F.zero) for row in ech for x in row)
+        assert ech.data == R.data[:len(pivots)]
+        assert all(type(x) is type(F.zero) for row in ech.data for x in row)
         deficient += len(pivots) < rows
     assert deficient > 10
     # every row below the first reduces to zero
     M = Matrix(F, [[1, 2, 3], [2, 4, 6], [3, 6, 9], [0, 0, 0]])
-    assert _echelon(M, False)[:2] == ([list(rref(M)[0].row(0))], [0])
+    assert _echelon_rows(M, False) == ([list(rref(M)[0].row(0))], [0])
 
 
 @pytest.mark.parametrize("F", [FQ, F2, F3], ids=repr)
@@ -426,8 +433,8 @@ def test_packed_echelon_matches_reference(F):
     deficient = 0
     for M in _gfp_matrices(rng, F, 40):
         rows, pivots = echelon_gfp_reference(M, True)
-        assert _echelon(M, True)[:2] == (rows, pivots)
-        assert _echelon(M, False)[:2] == echelon_gfp_reference(M, False)
+        assert _echelon_rows(M, True) == (rows, pivots)
+        assert _echelon_rows(M, False) == echelon_gfp_reference(M, False)
         if M.rows == M.cols:
             assert _echelon(M, True)[2] == det(M)
         R, T, rref_pivots = rref(M)
@@ -481,7 +488,7 @@ def test_every_slot_width_matches_reference(p, n, nb):
               Matrix(F, [[int(j == c) - int(j == n - 1) for j in range(n)]
                          for c in range(n - 1)] + last),
               matrix_of_rank(rng, F, n, n - 1)):
-        assert _echelon(M, True)[:2] == echelon_gfp_reference(M, True)
+        assert _echelon_rows(M, True) == echelon_gfp_reference(M, True)
         assert _echelon(M, True)[2] == det(M)
         assert M.mul(M) == mul_gfp_reference(M, M)
 

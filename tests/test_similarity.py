@@ -261,6 +261,29 @@ def test_linear_map_checks_bijectivity_by_rank(monkeypatch):
     assert calls == [("_echelon", 5, 5)]
 
 
+def test_maps_built_internally_skip_the_rank_check(monkeypatch):
+    """A reflection is an involution and the transpose of a map is
+    invertible, so building either runs no rank; theorem_psi_check maps
+    s_basis by one product and reads preserves_s off one membership
+    test, so it neither applies psi per vector nor asks Subspace.contains."""
+    from dualform import linalg
+    from helpers import record_calls
+    inst = paper5()
+    psi = LinearMap(Matrix.identity(FQ, 5))
+    ranks = record_calls(monkeypatch, linalg.rank)
+    per_vector = []
+    for cls, name in ((LinearMap, "apply"), (Subspace, "contains")):
+        def counting(*args, raw=getattr(cls, name), name=name):
+            per_vector.append(name)
+            return raw(*args)
+        monkeypatch.setattr(cls, name, counting)
+    _, psi_s, _ = reflection(inst, (0, 1, 0, 0, 0))
+    transpose_map(psi)
+    report = theorem_psi_check(inst, psi_s, 1)
+    assert ranks == [] and per_vector == []
+    assert report.preserves_s and report.primal_ok and report.dual_ok
+
+
 def test_linear_map_rejects_a_non_square_matrix():
     from dualform import LengthMismatch
     with pytest.raises(LengthMismatch):
