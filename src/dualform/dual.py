@@ -12,15 +12,17 @@ coset chasing via linked_coset(), kept separate so tests can cross-validate.
 """
 
 from .errors import LengthMismatch, NotInSHat, RadicalConditionViolated
-from .linalg import (Matrix, _extended, annihilator, complete_to_ambient,
-                     dot, invert_matrix, solve, vec_add, vec_scale)
-from .quadform import MetricSpace, QuadraticForm
+from .linalg import (Matrix, Subspace, _extended, _null_space, _spread,
+                     annihilator, dot, invert_matrix, solve, vec_add,
+                     vec_scale)
+from .quadform import MetricSpace, QuadraticForm, Radical
 
 
 class AdaptedBasis:
     """Basis of F^n ordered radical-first: columns of a span R on i1, S on
-    i1 + i2.  Rows of a_inv are the dual basis in standard dual coordinates.
-    Column j of coords holds the s_basis coordinates of column j < m of a.
+    i1 + i2.  Rows of a_inv are the dual basis in standard dual coordinates;
+    its rows on i3 are the canonical basis of R^ = ann(S).  Column j of
+    coords holds the s_basis coordinates of column j < m of a.
     """
 
     __slots__ = ("a", "a_inv", "coords", "i1", "i2", "i3")
@@ -36,8 +38,11 @@ class AdaptedBasis:
     def column(self, j):
         return self.a.column(j)
 
-    def dual_row(self, i):
-        return self.a_inv.row(i)
+    def r_hat(self):
+        """ann(S), read off rows i3 of a_inv."""
+        n = self.a.rows
+        return Subspace(self.a.field, n, self.a_inv.submatrix(self.i3,
+                                                              range(n)))
 
 
 class LinkedCoset:
@@ -78,21 +83,34 @@ def adapted_basis(inst):
     otherwise the radical's canonical rows are completed inside S with
     S's canonical rows, by one d x m echelon, and their s_basis
     coordinates come from the instance's span transform.  The S-basis is
-    then completed to F^n with standard basis vectors, by one m x n
-    echelon; neither completion builds a transform.  a^-1 is one more
-    elimination.
+    then completed to F^n with the standard basis vectors e_k, k in K,
+    at which the canonical rows of its null space ann(S) lead: one m x n
+    echelon, without transform (see linalg._null_space).
+
+    a^-1 needs no elimination of a.  Its rows dual to the e_k vanish on
+    S and are 1 at k and 0 at the rest of K: they are the canonical rows
+    of ann(S).  Its first m rows vanish at K, so on the other columns P
+    they are the rows of (S_P^-1)^t, with S_P the m x m block of the
+    S-basis at P, invertible because e_K completes the S-basis.  Its one
+    inversion is that of S_P.
     """
     rad = inst.radical()
+    F = inst.field
     d, m, n = rad.dim, inst.m, inst.n
     s_vectors = inst._basis
     leading = s_vectors.submatrix(range(d), range(n))
     if rad.subspace._coordinates(leading) is not None:
-        coords = Matrix.identity(inst.field, m)
+        coords = Matrix.identity(F, m)
     else:
         s_vectors = _extended(rad.subspace, inst.subspace)
         coords = inst._coords(s_vectors)
-    a = complete_to_ambient(s_vectors).transpose()
-    return AdaptedBasis(a, invert_matrix(a), coords, d, m, n)
+    r_hat = _null_space(s_vectors)
+    kept = set(r_hat.pivots)
+    P = [j for j in range(n) if j not in kept]
+    a = s_vectors._vstack(Matrix._units(F, r_hat.pivots, n)).transpose()
+    s_inv = invert_matrix(s_vectors.submatrix(range(m), P))
+    a_inv = _spread(s_inv.transpose(), P, n)._vstack(r_hat.basis)
+    return AdaptedBasis(a, a_inv, coords, d, m, n)
 
 
 def _check_in_s_hat(inst, rad, a_star):
@@ -133,7 +151,7 @@ def linked_forms(inst, s):
     ab = adapted_basis(inst)
     vals = Matrix._trusted(inst.field, [inst.polar_gram().mul_vec(coords)], m)
     rep = vals.mul(ab.coords).mul(ab.a_inv.submatrix(range(m), range(n)))
-    return LinkedCoset(rep.row(0), annihilator(inst.subspace))
+    return LinkedCoset(rep.row(0), ab.r_hat())
 
 
 def dualize(inst):
@@ -142,7 +160,15 @@ def dualize(inst):
     The middle Gram block is inverted; its entries give the polar
     coefficients of the dual form and its rows, fed back through Q, give
     the diagonal coefficients.  All coefficients touching the trailing
-    index block vanish.
+    index block vanish, so the dual's polar Gram matrix is
+    diag(g22^-1, 0), in every characteristic.
+
+    Nothing is eliminated twice.  R^ = ann(S) is rows i3 of a^-1, and the
+    dual, on the rows d..n of a^-1, keeps two facts: its radical, R^ in
+    ambient coordinates and the last n - m unit vectors in its own, and
+    its span transform, (canonical rows of S^) a[:, d:n], since a form f
+    has coordinates f a over the rows of a^-1 and one in S^ vanishes on
+    R, the first d columns of a.
     """
     if not inst.radical_condition_holds():
         raise RadicalConditionViolated(
@@ -151,7 +177,9 @@ def dualize(inst):
     ab = adapted_basis(inst)
     d, m, n = ab.i2.start, ab.i3.start, inst.n
     t = m - d
-    inst_ad = inst._change_of_basis(ab.coords)
+    inst_ad = MetricSpace._trusted(
+        F, n, ab.a.submatrix(range(n), range(m)).transpose(),
+        inst._form_in(ab.coords), inst.subspace)
     g22 = inst_ad.polar_gram().submatrix(ab.i2, ab.i2)
     g22_hat = invert_matrix(g22)
     a22 = inst_ad.form.matrix().submatrix(ab.i2, ab.i2)
@@ -159,10 +187,14 @@ def dualize(inst):
     diag = [values[i, i] for i in range(t)] + [F.zero] * (n - m)
     upper = {(i, j): g22_hat[i, j] for i in range(t) for j in range(i + 1, t)}
     s_hat = annihilator(inst.radical().subspace)
-    r_hat = annihilator(inst.subspace)
-    dual_basis = ab.a_inv.submatrix(range(d, n), range(n))
-    dual = MetricSpace._trusted(F, n, dual_basis,
-                                QuadraticForm._trusted(F, diag, upper), s_hat)
+    r_hat = ab.r_hat()
+    radical = Radical(r_hat, Subspace(F, n - d, Matrix._units(
+        F, range(t, n - d), n - d)))
+    dual = MetricSpace._trusted(
+        F, n, ab.a_inv.submatrix(range(d, n), range(n)),
+        QuadraticForm._trusted(F, diag, upper), s_hat,
+        span_t=s_hat.basis.mul(ab.a.submatrix(range(n), range(d, n))),
+        radical=radical)
     return DualFormResult(s_hat, r_hat, dual, ab, g22, g22_hat)
 
 

@@ -309,13 +309,6 @@ def vec_scale(F, c, x):
     return _canon(F.characteristic(), [c * u for u in x])
 
 
-def combine(F, coeffs, rows, n):
-    """sum_i coeffs[i] * rows[i] in F^n."""
-    k = len(coeffs)
-    return Matrix._trusted(F, [coeffs], k).mul(
-        Matrix._trusted(F, rows[:k], n)).row(0)
-
-
 def _echelon(M, transform):
     """The one elimination loop: rref, det and without transform every
     rank, kernel, span and completion question.  Returns (W, pivots, det),
@@ -560,30 +553,25 @@ class Subspace:
         return self.coordinates(vec) is not None
 
     def coordinates(self, vec):
-        """Coefficients of vec over the stored basis rows, or None.
-
-        In canonical RREF the coefficient of a row is vec's entry at that
-        row's pivot column; recombining the rows tests membership.
-        """
-        if len(vec) != self.ambient_dim:
+        """Coefficients of vec over the stored basis rows, or None."""
+        n = self.ambient_dim
+        if len(vec) != n:
             raise LengthMismatch("vector length != ambient dimension")
-        F = self.field
-        vec = tuple(F.scalar(x) for x in vec)
-        coeffs = tuple(vec[p] for p in self.pivots)
-        if combine(F, coeffs, self.basis.data, self.ambient_dim) != vec:
-            return None
-        return coeffs
+        P = self._coordinates(Matrix(self.field, [vec], cols=n))
+        return None if P is None else P.row(0)
 
     def _coordinates(self, V):
-        """coordinates for the rows of the matrix V, by one product: the
-        matrix of V's entries at the pivots, or None if it does not
-        recombine the basis rows into V."""
+        """coordinates for the rows of the matrix V, by one product: in
+        canonical RREF the coefficient of a basis row is V's entry at that
+        row's pivot column, so the matrix of V's entries at the pivots, or
+        None if it does not recombine the basis rows into V."""
         P = V.submatrix(range(V.rows), self.pivots)
         return P if P.mul(self.basis) == V else None
 
     def is_subspace_of(self, other):
-        return all(other.contains(self.basis.row(i))
-                   for i in range(self.dim))
+        if self.ambient_dim != other.ambient_dim:
+            raise LengthMismatch("subspaces of different ambient spaces")
+        return other._coordinates(self.basis) is not None
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
@@ -626,16 +614,42 @@ def _null_rows(R, pivots, free):
     return Matrix._cleared(F, rows, dens, k)
 
 
-def _null_space(R, pivots):
-    """Solution space of R x = 0 for R in reduced row-echelon form."""
-    free = [f for f in range(R.cols) if f not in pivots]
-    return Subspace._span(_null_rows(R, pivots, free))
+def _flipped(M):
+    """M with its rows and its columns in reverse order."""
+    F = M.field
+    if F.characteristic():
+        return Matrix._trusted(F, [row[::-1] for row in reversed(M.data)],
+                               M.cols)
+    ints, dens = M._ints()
+    return Matrix._cleared(F, [row[::-1] for row in reversed(ints)],
+                           dens[::-1], M.cols)
+
+
+def _null_space(M):
+    """Solution space of M x = 0 as a Subspace of F^cols, from one echelon
+    of M read from its last row and column: every kernel, annihilator and
+    greedy completion comes from here.
+
+    Let W be the reduced echelon form of the flipped M, with column f of
+    M at k-1-f in W.  For a free column f' of W the null row (see
+    _null_rows) is 1 at f', 0 at the other free columns, and nonzero
+    elsewhere only at pivot columns before f', because a pivot row is
+    zero before its pivot.  Flipped back, the row of f = k-1-f' is 1 at
+    f, 0 at the other free columns and nonzero elsewhere only at pivot
+    columns after f.  So its leading entry is that 1, every other row is
+    zero in its column, and with the row order reversed the leading
+    columns increase: the rows are already the canonical RREF of the null
+    space, its pivots the free columns, and need no second echelon.
+    """
+    W, pivots, _ = _echelon(_flipped(M), False)
+    taken = set(pivots)
+    free = [f for f in range(M.cols) if f not in taken]
+    return Subspace(M.field, M.cols, _flipped(_null_rows(W, pivots, free)))
 
 
 def kernel(M):
     """Solution space of M x = 0 as a Subspace of F^cols."""
-    W, pivots, _ = _echelon(M, False)
-    return _null_space(W, pivots)
+    return _null_space(M)
 
 
 def solve(M, b):
@@ -650,12 +664,28 @@ def solve(M, b):
     x = [F.zero] * M.cols
     for r, p in enumerate(pivots):
         x[p] = c[r]
-    return tuple(x), _null_space(R, pivots)
+    return tuple(x), _null_space(M)
 
 
 def annihilator(T):
     """Linear forms (dual coordinate rows) vanishing on T."""
-    return _null_space(T.basis, T.pivots)
+    return _null_space(T.basis)
+
+
+def _spread(M, cols, k):
+    """The k-column matrix whose column cols[j] is column j of M and whose
+    other columns are zero."""
+    F = M.field
+    p = F.characteristic()
+    rows = []
+    for row in M.data if p else M._ints()[0]:
+        v = [0] * k
+        for c, x in zip(cols, row):
+            v[c] = x
+        rows.append(v)
+    if p:
+        return Matrix._trusted(F, rows, k)
+    return Matrix._cleared(F, rows, M._ints()[1], k)
 
 
 def _kept_units(M):
@@ -664,20 +694,18 @@ def _kept_units(M):
     in index order, is kept when it lies outside the span of the vectors
     before it.
 
-    They are the i that are not pivots of the rows' echelon form with the
-    columns read from the last one.  Proof: a skipped e_j lies in the span
-    before it, so the span before e_i is P + <e_0, ..., e_(i-1)>, with P
-    the span of the rows.  e_i lies in it exactly when some vector of P is
-    1 at i and 0 after i, that is when dropping coordinate i from P
+    They are the pivots of the null space of M, the i that are not
+    pivots of the rows' echelon form with the columns read from the last
+    one (see _null_space).  Proof: a skipped e_j lies in the span before
+    it, so the span before e_i is P + <e_0, ..., e_(i-1)>, with P the
+    span of the rows.  e_i lies in it exactly when some vector of P is 1
+    at i and 0 after i, that is when dropping coordinate i from P
     restricted to the coordinates i, ..., k-1 has a nonzero kernel: when
     that restriction has a larger rank than the one to i+1, ..., k-1.
     Read from column k-1 down, these two ranks count the pivots up to and
     before column i, so e_i is skipped exactly when i is a pivot.
     """
-    k = M.cols
-    rev = M.submatrix(range(M.rows), range(k - 1, -1, -1))
-    pivots = set(_echelon(rev, False)[1])
-    return [i for i in range(k) if k - 1 - i not in pivots]
+    return _null_space(M).pivots
 
 
 def _extended(inner, outer):

@@ -88,8 +88,10 @@ class MetricSpace:
     radical, computed on first use, and the span transform T of the rref
     of the s_basis rows, whose row i holds the s_basis coordinates of the
     i-th canonical row of S.  The constructor keeps T from the rref that
-    builds the subspace; an instance whose subspace is given, as the
-    internal ones are, runs that rref on its first coordinate question.
+    builds the subspace.  An instance built internally is given its
+    subspace, and a dual form also its T and its radical, which dualize
+    reads off its own eliminations; otherwise it runs that rref on its
+    first coordinate question.
     """
 
     __slots__ = ("field", "n", "subspace", "_basis", "form", "_span_t",
@@ -119,13 +121,15 @@ class MetricSpace:
         self._radical = None
 
     @classmethod
-    def _trusted(cls, field, n, basis, form, subspace):
+    def _trusted(cls, field, n, basis, form, subspace, span_t=None,
+                 radical=None):
         """Internal constructor, unchecked: basis an m x n Matrix of
-        canonical rows spanning S."""
+        canonical rows spanning S, and span_t and radical, if known, the
+        facts the instance memoizes."""
         self = object.__new__(cls)
         self.field, self.n, self._basis = field, n, basis
         self.subspace, self.form = subspace, form
-        self._span_t = self._radical = None
+        self._span_t, self._radical = span_t, radical
         return self
 
     @property
@@ -246,15 +250,18 @@ class MetricSpace:
     def _change_of_basis(self, T):
         """change_of_basis without its shape and rank checks, for callers
         whose m x m T is invertible by construction."""
+        return MetricSpace._trusted(self.field, self.n,
+                                    T.transpose().mul(self._basis),
+                                    self._form_in(T), self.subspace)
+
+    def _form_in(self, T):
+        """The form of _change_of_basis(T), without its new basis."""
         F, m, p = self.field, self.m, self.field.characteristic()
-        Tt = T.transpose()
-        M = Tt.mul(self.form.matrix()).mul(T).data
-        new_basis = Tt.mul(self._basis)
+        M = T.transpose().mul(self.form.matrix()).mul(T).data
         pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
         sums = _canon(p, [M[i][j] + M[j][i] for i, j in pairs])
-        form = QuadraticForm._trusted(F, [M[i][i] for i in range(m)],
+        return QuadraticForm._trusted(F, [M[i][i] for i in range(m)],
                                       dict(zip(pairs, sums)))
-        return MetricSpace._trusted(F, self.n, new_basis, form, self.subspace)
 
     def __eq__(self, other):
         return (isinstance(other, MetricSpace)

@@ -87,7 +87,7 @@ def _scales_form(inst, images, c):
     scaled = QuadraticForm(F, [F.mul(c, x) for x in form.diag],
                            {k: F.mul(c, v) for k, v in form.upper.items()})
     # psi is injective and maps S into S, so images is invertible
-    return inst._change_of_basis(images).form == scaled
+    return inst._form_in(images) == scaled
 
 
 class SimilarityReport:

@@ -308,14 +308,19 @@ def _gf3_not_radical_first():
     return _radical_last(F3, 24, 18, 3)
 
 
-@pytest.mark.parametrize("fixture, first, again", [("paper5.json", 8, 5),
+@pytest.mark.parametrize("fixture, first, again", [("paper5.json", 6, 4),
                                                   ("hyp_gf2.json", 5, 4),
-                                                  ("gf3-n24", 9, 6)])
+                                                  ("gf3-n24", 7, 5)])
 def test_dualize_elimination_count(monkeypatch, fixture, first, again):
     """Guard against redundant eliminations: rref and the echelon loop it
     shares with the T-free callers are rebound in every dualform module
     that imported them by name, so every elimination is counted once,
-    from any module.  Only the two inverses build a transform.  A second
+    from any module.  A dualize runs the radical's kernel and span, one
+    reverse echelon of the S-basis that completes it and gives ann(S),
+    one of the radical for ann(R), the completion of the radical inside
+    S when it is not first, and two inverses, of the m x m block of the
+    S-basis that gives a^-1 and of the middle Gram block: only these two
+    build a transform, and neither is larger than m x m.  A second
     dualize reuses the memoized radical."""
     if fixture == "gf3-n24":
         inst = _gf3_not_radical_first()
@@ -332,6 +337,7 @@ def test_dualize_elimination_count(monkeypatch, fixture, first, again):
     dualize(inst)
     assert len(calls) == first, calls
     assert [c[0] for c in calls].count("rref") == 2, calls
+    assert all(max(c[1:]) <= inst.m for c in calls if c[0] == "rref"), calls
     assert inst.radical() is inst.radical()
     del calls[:]
     dualize(inst)

@@ -5,14 +5,18 @@ converse of linking, linked pairs share their value Q^(a*) = Q(x), the
 adjugate of the middle Gram block is its determinant times the dual's
 Gram block, a map in adapted block form is a similarity exactly when its
 transpose is one on the dual, and a reflection is an involution negating
-its vector.  The determinant is multiplicative and invariant under
-transposition for n <= 6."""
+its vector.  What dualize reads off its own eliminations is what a fresh
+elimination gives: a^-1 a = I, R^ = ann(S), and the dual's radical and
+span transform are those of the same dual built from its rows.  The
+determinant is multiplicative and invariant under transposition for
+n <= 6."""
 
 import pytest
 
-from dualform import (LinearMap, Matrix, adapted_basis, adjugate, b_linked,
-                      det, double_dual_check, dualize, linked_forms,
-                      make_field, reflection, theorem_psi_check)
+from dualform import (LinearMap, Matrix, MetricSpace, adapted_basis,
+                      adjugate, annihilator, b_linked, det,
+                      double_dual_check, dualize, linked_forms, make_field,
+                      reflection, theorem_psi_check)
 from helpers import F2, F3, FQ
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -66,6 +70,39 @@ def test_linked_pairs_share_their_value(F, data):
     coords = data.draw(coordinates(F, inst.m))
     a_star = linked_form(data, inst, inst.from_coords(coords))
     assert dual.eval_q(dual.coords_of(a_star)) == inst.eval_q(coords)
+
+
+@FIELDS
+@PROPERTY
+@hypothesis.given(data=st.data())
+def test_a_inverse_times_a_is_the_identity(F, data):
+    inst = data.draw(instances(F))
+    ab = adapted_basis(inst)
+    assert ab.a_inv.mul(ab.a) == Matrix.identity(F, inst.n)
+
+
+@FIELDS
+@PROPERTY
+@hypothesis.given(data=st.data())
+def test_r_hat_is_the_annihilator_of_s(F, data):
+    inst = data.draw(instances(F))
+    assert dualize(inst).r_hat == annihilator(inst.subspace)
+
+
+@FIELDS
+@PROPERTY
+@hypothesis.given(data=st.data())
+def test_the_dual_memoizes_what_a_fresh_instance_computes(F, data):
+    """The radical and span transform dualize gives the dual equal those
+    a fresh MetricSpace on the dual's rows and form computes itself."""
+    inst = data.draw(instances(F))
+    dual = dualize(inst).dual
+    fresh = MetricSpace(F, inst.n, dual.s_basis, dual.form)
+    assert dual.subspace == fresh.subspace
+    assert dual._span_t == fresh._span_t
+    ours, theirs = dual.radical(), fresh.radical()
+    assert ours.subspace == theirs.subspace
+    assert ours.in_domain == theirs.in_domain
 
 
 @FIELDS

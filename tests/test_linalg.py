@@ -8,7 +8,7 @@ from dualform import (Matrix, NotNested, Singular, Subspace, adjugate,
                       annihilator, det, extend_basis, invert_matrix, kernel,
                       make_field, rank, rref, solve)
 from dualform import cli, fields, linalg
-from dualform.linalg import _echelon, _slot, combine, complete_to_ambient
+from dualform.linalg import _echelon, _slot, complete_to_ambient
 from helpers import (FQ, F2, F3, F5, echelon_gfp_reference, matrix_of_rank,
                      mul_gfp_reference, random_subspace_basis, random_vector,
                      record_calls, wide_rational_matrix, wide_shapes)
@@ -375,10 +375,35 @@ def test_rational_combine_matches_fraction_sum():
         coeffs = wide_rational_matrix(rng, 1, rows).data[0]
         expected = [sum((c * row[j] for c, row in zip(coeffs, M.data)),
                         Fraction(0)) for j in range(cols)]
-        assert combine(FQ, coeffs, M.data, cols) == tuple(expected)
-        # fewer coefficients than rows: the leading rows only
-        assert combine(FQ, coeffs[:1], M.data, cols) == \
-            combine(FQ, coeffs[:1], M.data[:1], cols)
+        assert Matrix(FQ, [coeffs], cols=rows).mul(M).row(0) == \
+            tuple(expected)
+        # zero coefficients past the first: the leading row only
+        lead = min(rows, 1)
+        padded = list(coeffs[:lead]) + [0] * (rows - lead)
+        assert Matrix(FQ, [padded], cols=rows).mul(M).row(0) == \
+            Matrix(FQ, [coeffs[:lead]], cols=lead).mul(
+                M.submatrix(range(lead), range(cols))).row(0)
+
+
+def test_membership_does_not_clear_the_basis_again(monkeypatch):
+    """is_subspace_of, contains and coordinates test membership by one
+    product with the stored basis, which the span left as cleared rows:
+    over the rationals none of them clears the 6 x 10 basis again, and
+    is_subspace_of clears nothing at all."""
+    rng = random.Random(10)
+    outer = Subspace.from_rows(FQ, 10, random_subspace_basis(rng, FQ, 10, 6))
+    coeffs = Matrix(FQ, [random_vector(rng, FQ, 6) for _ in range(4)])
+    inner = Subspace.from_rows(FQ, 10, coeffs.mul(outer.basis).data)
+    assert (inner.dim, outer.dim) == (4, 6)
+    calls = record_calls(monkeypatch, linalg._int_rows)
+    assert inner.is_subspace_of(outer)
+    assert not outer.is_subspace_of(inner)
+    assert calls == []
+    row = inner.basis.row(1)
+    c = outer.coordinates(row)
+    assert Matrix(FQ, [c], cols=6).mul(outer.basis).row(0) == row
+    assert not outer.contains(random_vector(rng, FQ, 10))
+    assert calls and all(c[1] == 1 for c in calls), calls
 
 
 @pytest.mark.parametrize("F", [FQ, F2, make_field("prime", 2**31 - 1)],
@@ -465,8 +490,7 @@ def test_packed_mul_matches_reference(F):
         assert A.mul_vec(v) == mul_gfp_reference(A, column).column(0)
         coeffs = random_vector(rng, F, A.rows)
         row = Matrix(F, [coeffs], cols=A.rows)
-        assert combine(F, coeffs, A.data, k) == \
-            mul_gfp_reference(row, A).row(0)
+        assert row.mul(A).row(0) == mul_gfp_reference(row, A).row(0)
 
 
 @pytest.mark.parametrize("p, n, nb", [(2, 6, 1), (5, 20, 2), (257, 5, 4),

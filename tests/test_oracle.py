@@ -1,14 +1,14 @@
-"""Cross-checks of the elimination and product kernels against sympy's
-DomainMatrix over QQ and GF(p), on seeded random matrices that include
-singular, rectangular and empty shapes."""
+"""Cross-checks of the elimination, null-space and product kernels against
+sympy's DomainMatrix over QQ and GF(p), on seeded random matrices that
+include singular, rectangular and empty shapes."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from dualform import (Matrix, Singular, adjugate, det, invert_matrix,
-                      make_field, rank, rref)
+from dualform import (Matrix, Singular, Subspace, adjugate, annihilator,
+                      det, invert_matrix, kernel, make_field, rank, rref)
 from helpers import matrix_of_rank, wide_rational_matrix, wide_shapes
 
 sympy = pytest.importorskip("sympy")
@@ -77,6 +77,26 @@ def test_rref_and_rank_match_sympy(F):
         assert T.mul(M) == R
         assert rank(T) == rows
         assert rank(M) == to_sympy(M).rank()
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_kernel_and_annihilator_match_sympy_nullspace(F):
+    """kernel(M) and the annihilator of the row space of M have as basis
+    the canonical RREF of sympy's null space of M, also with 0 rows, 0
+    columns, at full rank and for the zero matrix."""
+    rng = random.Random(53 + F.characteristic())
+    mats = [random_matrix(rng, F, rows, cols)
+            for rows, cols in shapes(rng, 40)]
+    mats += [Matrix(F, [], cols=4), Matrix(F, [[]] * 3, cols=0),
+             Matrix.identity(F, 5), matrix_of_rank(rng, F, 6, 6),
+             Matrix(F, [[1, 2, 3]], cols=3), Matrix.zeros(F, 3, 4)]
+    for M in mats:
+        N = to_sympy(M).nullspace()
+        expected = from_sympy(F, N.rref()[0]) if N.shape[0] else \
+            Matrix(F, [], cols=M.cols)
+        assert kernel(M).basis == expected
+        T = Subspace.from_rows(F, M.cols, M.data)
+        assert annihilator(T).basis == expected
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)
