@@ -12,9 +12,9 @@ coset chasing via linked_coset(), kept separate so tests can cross-validate.
 """
 
 from .errors import LengthMismatch, NotInSHat, RadicalConditionViolated
-from .linalg import (Matrix, Subspace, _extended, _null_space, _spread,
-                     annihilator, dot, invert_matrix, solve, vec_add,
-                     vec_scale)
+from .linalg import (Matrix, Subspace, _kept_units, _null_space,
+                     _particular, _row_dots, _spread, annihilator, dot,
+                     invert_matrix, vec_add, vec_scale)
 from .quadform import MetricSpace, QuadraticForm, Radical
 
 
@@ -81,11 +81,12 @@ def adapted_basis(inst):
 
     If the instance's own s_basis is already radical-first it is reused;
     otherwise the radical's canonical rows are completed inside S with
-    S's canonical rows, by one d x m echelon, and their s_basis
-    coordinates come from the instance's span transform.  The S-basis is
-    then completed to F^n with the standard basis vectors e_k, k in K,
-    at which the canonical rows of its null space ann(S) lead: one m x n
-    echelon, without transform (see linalg._null_space).
+    S's canonical rows, by one d x m echelon of the radical's coordinates
+    rad_c over those.  Row i of the span transform T has the s_basis
+    coordinates of canonical row i, so rad_c T has the radical's.  The
+    S-basis is then completed to F^n with the standard basis vectors e_k,
+    k in K, at which the canonical rows of its null space ann(S) lead: one
+    m x n echelon, without transform (see linalg._null_space).
 
     a^-1 needs no elimination of a.  Its rows dual to the e_k vanish on
     S and are 1 at k and 0 at the rest of K: they are the canonical rows
@@ -102,8 +103,15 @@ def adapted_basis(inst):
     if rad.subspace._coordinates(leading) is not None:
         coords = Matrix.identity(F, m)
     else:
-        s_vectors = _extended(rad.subspace, inst.subspace)
-        coords = inst._coords(s_vectors)
+        S = inst.subspace
+        rad_c = S._coordinates(rad.subspace.basis)
+        assert rad_c is not None  # the radical lies in S
+        kept = _kept_units(rad_c)
+        T = inst._transform()
+        s_vectors = rad.subspace.basis._vstack(S.basis.submatrix(kept,
+                                                                 range(n)))
+        coords = rad_c.mul(T)._vstack(T.submatrix(kept, range(m)))
+        coords = coords.transpose()
     r_hat = _null_space(s_vectors)
     kept = set(r_hat.pivots)
     P = [j for j in range(n) if j not in kept]
@@ -139,9 +147,9 @@ def linked_coset(inst, f_star):
     f_star = tuple(F.scalar(v) for v in f_star)
     rad = inst.radical()
     _check_in_s_hat(inst, rad, f_star)
-    sol = solve(inst.polar_gram(), inst._basis.mul_vec(f_star))
+    sol = _particular(inst.polar_gram(), inst._basis.mul_vec(f_star))
     assert sol is not None  # guaranteed once f* annihilates the radical
-    return LinkedCoset(inst.from_coords(sol[0]), rad.subspace)
+    return LinkedCoset(inst.from_coords(sol), rad.subspace)
 
 
 def linked_forms(inst, s):
@@ -157,18 +165,20 @@ def linked_forms(inst, s):
 def dualize(inst):
     """Dual quadratic form via the adapted-coordinate recipe.
 
-    The middle Gram block is inverted; its entries give the polar
-    coefficients of the dual form and its rows, fed back through Q, give
-    the diagonal coefficients.  All coefficients touching the trailing
-    index block vanish, so the dual's polar Gram matrix is
-    diag(g22^-1, 0), in every characteristic.
+    Only Q on the t = m - d middle adapted vectors is formed, as mid.
+    Its polar Gram matrix g22 is inverted; the entries of g22^-1 are the
+    polar coefficients of the dual form and its rows, fed back through Q,
+    the diagonal ones: row i of g22^-1 A22, A22 mid's matrix, paired with
+    row i of g22^-1.  All coefficients touching the trailing index block
+    vanish, so the dual's polar Gram matrix is diag(g22^-1, 0), in every
+    characteristic.
 
     Nothing is eliminated twice.  R^ = ann(S) is rows i3 of a^-1, and the
-    dual, on the rows d..n of a^-1, keeps two facts: its radical, R^ in
-    ambient coordinates and the last n - m unit vectors in its own, and
-    its span transform, (canonical rows of S^) a[:, d:n], since a form f
-    has coordinates f a over the rows of a^-1 and one in S^ vanishes on
-    R, the first d columns of a.
+    dual, on the rows d..n of a^-1, keeps its radical, R^ in ambient
+    coordinates and the last n - m unit vectors in its own, and forms its
+    span transform, (canonical rows of S^) a[:, d:n], when first asked:
+    a form f has coordinates f a over the rows of a^-1 and one in S^
+    vanishes on R, the first d columns of a.
     """
     if not inst.radical_condition_holds():
         raise RadicalConditionViolated(
@@ -177,14 +187,11 @@ def dualize(inst):
     ab = adapted_basis(inst)
     d, m, n = ab.i2.start, ab.i3.start, inst.n
     t = m - d
-    inst_ad = MetricSpace._trusted(
-        F, n, ab.a.submatrix(range(n), range(m)).transpose(),
-        inst._form_in(ab.coords), inst.subspace)
-    g22 = inst_ad.polar_gram().submatrix(ab.i2, ab.i2)
+    mid = inst._form_in(ab.coords.submatrix(range(m), ab.i2))
+    g22 = mid.polar_gram()
     g22_hat = invert_matrix(g22)
-    a22 = inst_ad.form.matrix().submatrix(ab.i2, ab.i2)
-    values = g22_hat.mul(a22).mul(g22_hat.transpose())
-    diag = [values[i, i] for i in range(t)] + [F.zero] * (n - m)
+    values = g22_hat.mul(mid.matrix())
+    diag = _row_dots(values, g22_hat) + [F.zero] * (n - m)
     upper = {(i, j): g22_hat[i, j] for i in range(t) for j in range(i + 1, t)}
     s_hat = annihilator(inst.radical().subspace)
     r_hat = ab.r_hat()
@@ -193,7 +200,8 @@ def dualize(inst):
     dual = MetricSpace._trusted(
         F, n, ab.a_inv.submatrix(range(d, n), range(n)),
         QuadraticForm._trusted(F, diag, upper), s_hat,
-        span_t=s_hat.basis.mul(ab.a.submatrix(range(n), range(d, n))),
+        span_t=lambda: s_hat.basis.mul(ab.a.submatrix(range(n),
+                                                      range(d, n))),
         radical=radical)
     return DualFormResult(s_hat, r_hat, dual, ab, g22, g22_hat)
 

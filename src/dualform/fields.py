@@ -153,7 +153,7 @@ class PrimeField(Field):
         a %= self.p
         if a == 0:
             raise DivisionByZero("0 has no inverse")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def parse(self, text):
         return int(_match(_RESIDUE, text)) % self.p

@@ -28,6 +28,11 @@ def _canon(p, xs):
 # is only ever packed from entries below 2^64.  _SLOTS[b] is (nb, code)
 # for the narrowest slot of at least b bits, with code the array type
 # code of its items; 1-byte slots convert through bytes, the cheapest way.
+# A 16-byte slot is read folded.  Its value v <= p + k (p - 1)^2 < 2^94,
+# for p < 2^31 and k < 2^32 rows or columns, is lo + hi 2^63 with
+# hi < 2^31; with M the low 63 bits of every slot and r = 2^63 mod p,
+# x = (x & M) + ((x >> 63) & M) r leaves lo + hi r < 2^64, congruent to v
+# mod p, in the low 8 bytes of each slot.
 _CODE = {array(c).itemsize: c for c in "BHILQ"}
 _SLOTS = [next((nb, _CODE[min(nb, 8)]) for nb in (1, 2, 4, 8, 16)
                if 8 * nb >= b) for b in range(129)]
@@ -57,19 +62,27 @@ def _pack(row, nb, code):
     return int.from_bytes(a, "little")
 
 
-def _slots(x, count, nb, code):
-    """The count slot values of the packed int x, as an iterable of ints."""
+def _fold(nb, count, p):
+    """(M, r) to read count 16-byte slots over GF(p), else None."""
+    if nb == 16:
+        low = b"\xff" * 7 + b"\x7f" + bytes(8)
+        return int.from_bytes(low * count, "little"), (1 << 63) % p
+
+
+def _slots(x, count, nb, code, fold=None):
+    """The count slot values of the packed int x, as an iterable of ints;
+    16-byte ones up to multiples of p, folded by _fold(16, count, p)."""
     if count == 1:
         return (x,)
     if nb == 1:
         return x.to_bytes(count, "little")
+    if fold:
+        mask, r = fold
+        x = (x & mask) + ((x >> 63) & mask) * r
     a = array(code, x.to_bytes(count * nb, "little"))
     if _SWAP:
         a.byteswap()
-    if nb < 16:
-        return a
-    halves = iter(a)
-    return [lo + (hi << 64) for lo, hi in zip(halves, halves)]
+    return a[::2] if nb == 16 else a
 
 
 def _int_rows(M):
@@ -255,10 +268,11 @@ class Matrix:
                 [[sum(map(operator.mul, row, col)) for col in cols]
                  for row in a], [d * L for d in da]), m)
         nb, code = _slot(self.cols * (p - 1) ** 2 + 1)
+        fold = _fold(nb, m, p)
         packed = [_pack(row, nb, code) for row in other.data]
         return Matrix._trusted(F, [
             [x % p for x in _slots(sum(map(operator.mul, row, packed)), m,
-                                   nb, code)]
+                                   nb, code, fold)]
             for row in self.data], m)
 
     def mul_vec(self, v):
@@ -297,6 +311,17 @@ def dot(F, a, x):
     p = F.characteristic()
     s = sum(map(operator.mul, a, x), F.zero)
     return s % p if p else s
+
+
+def _row_dots(A, B):
+    """The diagonal of A B^t without the product."""
+    p = A.field.characteristic()
+    if p:
+        return [sum(map(operator.mul, a, b)) % p
+                for a, b in zip(A.data, B.data)]
+    (a, da), (b, db) = A._ints(), B._ints()
+    return [Fraction(sum(map(operator.mul, x, y)), u * v)
+            for x, y, u, v in zip(a, b, da, db)]
 
 
 def vec_add(F, x, y):
@@ -360,6 +385,7 @@ def _echelon(M, transform):
         nb, code = _slot(p + min(n, k) * (p - 1) ** 2)
         w = 8 * nb
         mask = (1 << w) - 1
+        fold = _fold(nb, width, p)
         d = 1
         a = [_pack(row, nb, code) for row in M.data]
         if transform:
@@ -379,7 +405,8 @@ def _echelon(M, transform):
             inv = F.inv(col[pr])
             col[pr], col[r] = col[r], 0
             a[r] = pivot = _pack([inv * x % p for x in
-                                  _slots(a[r], width, nb, code)], nb, code)
+                                  _slots(a[r], width, nb, code, fold)],
+                                 nb, code)
             for i, f in enumerate(col):
                 if f:
                     a[i] += (p - f) * pivot
@@ -389,7 +416,8 @@ def _echelon(M, transform):
                 break
         if not transform:
             del a[r:]
-        rows = [[x % p for x in _slots(row, width, nb, code)] for row in a]
+        rows = [[x % p for x in _slots(row, width, nb, code, fold)]
+                for row in a]
         return (Matrix._trusted(F, rows, width), pivots,
                 sign * d % p if r == n == k else F.zero)
     rows, dens = M._ints()
@@ -652,19 +680,24 @@ def kernel(M):
     return _null_space(M)
 
 
-def solve(M, b):
-    """All solutions of M x = b as (particular, homogeneous) or None."""
-    F = M.field
+def _particular(M, b):
+    """solve's particular solution, or None, without the null space."""
     if len(b) != M.rows:
         raise LengthMismatch("rhs length != number of rows")
     R, T, pivots = rref(M)
     c = T.mul_vec(b)
     if any(c[len(pivots):]):
         return None
-    x = [F.zero] * M.cols
+    x = [M.field.zero] * M.cols
     for r, p in enumerate(pivots):
         x[p] = c[r]
-    return tuple(x), _null_space(M)
+    return tuple(x)
+
+
+def solve(M, b):
+    """All solutions of M x = b as (particular, homogeneous) or None."""
+    x = _particular(M, b)
+    return None if x is None else (x, _null_space(M))
 
 
 def annihilator(T):
@@ -708,17 +741,6 @@ def _kept_units(M):
     return _null_space(M).pivots
 
 
-def _extended(inner, outer):
-    """extend_basis as one Matrix of rows."""
-    if inner.ambient_dim != outer.ambient_dim or inner.field != outer.field:
-        raise NotNested("subspaces live in different ambient spaces")
-    coords = outer._coordinates(inner.basis)
-    if coords is None:
-        raise NotNested("inner is not contained in outer")
-    return inner.basis._vstack(outer.basis.submatrix(
-        _kept_units(coords), range(outer.ambient_dim)))
-
-
 def extend_basis(inner, outer):
     """Ordered basis of outer starting with inner's stored basis rows.
 
@@ -727,7 +749,13 @@ def extend_basis(inner, outer):
     coordinates their entries at outer's pivots, so this is the completion
     of those d x dim(outer) coordinate rows with unit vectors.
     """
-    return list(_extended(inner, outer).data)
+    if inner.ambient_dim != outer.ambient_dim or inner.field != outer.field:
+        raise NotNested("subspaces live in different ambient spaces")
+    coords = outer._coordinates(inner.basis)
+    if coords is None:
+        raise NotNested("inner is not contained in outer")
+    return list(inner.basis._vstack(outer.basis.submatrix(
+        _kept_units(coords), range(outer.ambient_dim))).data)
 
 
 def complete_to_ambient(M):

@@ -46,6 +46,20 @@ class QuadraticForm:
                                     self.upper.get((i, j), F.zero)
                                     for j in range(m)] for i in range(m)], m)
 
+    def polar_gram(self):
+        """Symmetric m x m matrix of the polar form B; alternating in
+        characteristic 2."""
+        F, m = self.field, self.m
+        g = [[F.zero] * m for _ in range(m)]
+        two = F.add(F.one, F.one)
+        two_q = _canon(F.characteristic(), [two * x for x in self.diag])
+        for i in range(m):
+            g[i][i] = two_q[i]
+        for (i, j), v in self.upper.items():
+            g[i][j] = v
+            g[j][i] = v
+        return Matrix._trusted(F, g, m)
+
     def coefficient(self, i, j):
         """Polar coefficient B(b_i, b_j) for i != j, stored or zero."""
         if i > j:
@@ -89,9 +103,9 @@ class MetricSpace:
     of the s_basis rows, whose row i holds the s_basis coordinates of the
     i-th canonical row of S.  The constructor keeps T from the rref that
     builds the subspace.  An instance built internally is given its
-    subspace, and a dual form also its T and its radical, which dualize
-    reads off its own eliminations; otherwise it runs that rref on its
-    first coordinate question.
+    subspace, and a dual form also its radical and a function computing
+    its T on its first coordinate question, both read off dualize's own
+    eliminations; otherwise that question runs the rref.
     """
 
     __slots__ = ("field", "n", "subspace", "_basis", "form", "_span_t",
@@ -125,7 +139,8 @@ class MetricSpace:
                  radical=None):
         """Internal constructor, unchecked: basis an m x n Matrix of
         canonical rows spanning S, and span_t and radical, if known, the
-        facts the instance memoizes."""
+        facts the instance memoizes, span_t maybe as a function that
+        computes it on first use."""
         self = object.__new__(cls)
         self.field, self.n, self._basis = field, n, basis
         self.subspace, self.form = subspace, form
@@ -165,9 +180,18 @@ class MetricSpace:
         P = self.subspace._coordinates(V)
         if P is None:
             raise NotInSubspace("vector outside S")
-        if self._span_t is None:
-            self._span_t = rref(self._basis)[1]
-        return P.mul(self._span_t).transpose()
+        return P.mul(self._transform()).transpose()
+
+    def _transform(self):
+        """The span transform T, memoized: given, computed by the
+        function given instead, or by one rref of the basis."""
+        T = self._span_t
+        if T is None:
+            T = rref(self._basis)[1]
+        elif callable(T):
+            T = T()
+        self._span_t = T
+        return T
 
     def from_coords(self, coords):
         """Ambient vector with the given s_basis coordinates."""
@@ -197,19 +221,8 @@ class MetricSpace:
         return F.scalar(self.eval_q(s) - self.eval_q(x) - self.eval_q(y))
 
     def polar_gram(self):
-        """Symmetric m x m matrix of B on s_basis; alternating in
-        characteristic 2."""
-        F = self.field
-        m = self.m
-        g = [[F.zero] * m for _ in range(m)]
-        two = F.add(F.one, F.one)
-        two_q = _canon(F.characteristic(), [two * x for x in self.form.diag])
-        for i in range(m):
-            g[i][i] = two_q[i]
-        for (i, j), v in self.form.upper.items():
-            g[i][j] = v
-            g[j][i] = v
-        return Matrix._trusted(F, g, m)
+        """The form's polar_gram, on s_basis."""
+        return self.form.polar_gram()
 
     def radical(self):
         """Radical of the polar form, in ambient and in s_basis coordinates."""
@@ -255,12 +268,14 @@ class MetricSpace:
                                     self._form_in(T), self.subspace)
 
     def _form_in(self, T):
-        """The form of _change_of_basis(T), without its new basis."""
-        F, m, p = self.field, self.m, self.field.characteristic()
+        """The form on the vectors b'_j = sum_i T[i][j] b_i of an m x t T:
+        M = T^t A T for A = form.matrix() has the new diagonal, and
+        M[i][j] + M[j][i] are the new polar coefficients."""
+        F, t, p = self.field, T.cols, self.field.characteristic()
         M = T.transpose().mul(self.form.matrix()).mul(T).data
-        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
         sums = _canon(p, [M[i][j] + M[j][i] for i, j in pairs])
-        return QuadraticForm._trusted(F, [M[i][i] for i in range(m)],
+        return QuadraticForm._trusted(F, [M[i][i] for i in range(t)],
                                       dict(zip(pairs, sums)))
 
     def __eq__(self, other):

@@ -345,6 +345,49 @@ def test_dualize_elimination_count(monkeypatch, fixture, first, again):
     assert [c[0] for c in calls].count("rref") == 2, calls
 
 
+@pytest.mark.parametrize("F", [FQ, F3, fields.PrimeField(2**31 - 1)],
+                         ids=repr)
+def test_dualize_leaves_the_dual_span_transform_to_its_first_question(
+        monkeypatch, F):
+    """dualize forms no product of S^'s canonical rows with a[:, d:n],
+    (n - d) x n by n x (n - d): the dual forms it on its first coordinate
+    question, once, and its coordinates are right."""
+    inst = _radical_last(F, 16, 12, 2)
+    n, d = inst.n, inst.radical().dim
+    product = (n - d, n, n - d)
+    shapes = []
+    mul = Matrix.mul
+
+    def recording(A, B):
+        shapes.append((A.rows, A.cols, B.cols))
+        return mul(A, B)
+
+    monkeypatch.setattr(Matrix, "mul", recording)
+    dual = dualize(inst).dual
+    assert shapes and product not in shapes
+    coords = random_vector(random.Random(3), F, dual.m)
+    for formed in (1, 0):
+        del shapes[:]
+        assert dual.coords_of(dual.from_coords(coords)) == tuple(coords)
+        assert shapes.count(product) == formed
+
+
+def test_linked_coset_runs_one_elimination(monkeypatch):
+    """linked_coset reads one particular solution of G x = B f* off one
+    rref of the polar Gram matrix G, and not G's null space: the coset's
+    radical is the instance's memoized one."""
+    path = os.path.join(os.path.dirname(__file__), "fixtures",
+                        "paper5.json")
+    with open(path) as fh:
+        inst = parse_problem(fh.read())
+    inst.radical()
+    calls = record_calls(monkeypatch, linalg.rref, linalg._echelon)
+    coset = linked_coset(inst, (0, 1, 0, 0, 0))
+    assert calls == [("rref", 3, 3)]
+    assert coset.representative == (0, -3, 2, 0, 0)
+    assert coset.radical is inst.radical().subspace
+
+
 @pytest.mark.parametrize("fixture, first, again", [
     ("paper5.json", [(3, 3), (3, 3), (2, 2), (2, 2)],
      [(3, 3), (2, 2), (2, 2)]),

@@ -6,10 +6,10 @@ adjugate of the middle Gram block is its determinant times the dual's
 Gram block, a map in adapted block form is a similarity exactly when its
 transpose is one on the dual, and a reflection is an involution negating
 its vector.  What dualize reads off its own eliminations is what a fresh
-elimination gives: a^-1 a = I, R^ = ann(S), and the dual's radical and
-span transform are those of the same dual built from its rows.  The
-determinant is multiplicative and invariant under transposition for
-n <= 6."""
+elimination gives: a^-1 a = I, the adapted coordinates are those of a's
+first m columns, R^ = ann(S), and the dual's radical and span transform
+are those of the same dual built from its rows.  The determinant is
+multiplicative and invariant under transposition for n <= 6."""
 
 import pytest
 
@@ -84,6 +84,26 @@ def test_a_inverse_times_a_is_the_identity(F, data):
 @FIELDS
 @PROPERTY
 @hypothesis.given(data=st.data())
+def test_adapted_coords_are_the_coordinates_of_a(F, data):
+    """Column j < m of adapted_basis(inst).coords holds the s_basis
+    coordinates of column j of a, also with s_basis reversed, which puts
+    a radical of leading zeros last, on an instance that computes its
+    span transform only when asked."""
+    inst = data.draw(instances(F))
+    m = inst.m
+    if data.draw(st.booleans()):
+        inst = inst.change_of_basis(Matrix(
+            F, [[int(i + j == m - 1) for j in range(m)] for i in range(m)],
+            cols=m))
+    ab = adapted_basis(inst)
+    s_vectors = ab.a.submatrix(range(inst.n), range(m)).transpose()
+    assert ab.coords == inst.coords_matrix(list(s_vectors.data))
+    assert ab.coords.transpose().mul(inst._basis) == s_vectors
+
+
+@FIELDS
+@PROPERTY
+@hypothesis.given(data=st.data())
 def test_r_hat_is_the_annihilator_of_s(F, data):
     inst = data.draw(instances(F))
     assert dualize(inst).r_hat == annihilator(inst.subspace)
@@ -94,12 +114,15 @@ def test_r_hat_is_the_annihilator_of_s(F, data):
 @hypothesis.given(data=st.data())
 def test_the_dual_memoizes_what_a_fresh_instance_computes(F, data):
     """The radical and span transform dualize gives the dual equal those
-    a fresh MetricSpace on the dual's rows and form computes itself."""
+    a fresh MetricSpace on the dual's rows and form computes itself; the
+    transform, left to the dual as a recipe, is computed once."""
     inst = data.draw(instances(F))
     dual = dualize(inst).dual
     fresh = MetricSpace(F, inst.n, dual.s_basis, dual.form)
     assert dual.subspace == fresh.subspace
-    assert dual._span_t == fresh._span_t
+    span_t = dual._transform()
+    assert span_t == fresh._span_t
+    assert dual._transform() is span_t
     ours, theirs = dual.radical(), fresh.radical()
     assert ours.subspace == theirs.subspace
     assert ours.in_domain == theirs.in_domain

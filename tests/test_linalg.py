@@ -8,7 +8,8 @@ from dualform import (Matrix, NotNested, Singular, Subspace, adjugate,
                       annihilator, det, extend_basis, invert_matrix, kernel,
                       make_field, rank, rref, solve)
 from dualform import cli, fields, linalg
-from dualform.linalg import _echelon, _slot, complete_to_ambient
+from dualform.linalg import (_echelon, _fold, _slot, _slots,
+                             complete_to_ambient)
 from helpers import (FQ, F2, F3, F5, echelon_gfp_reference, matrix_of_rank,
                      mul_gfp_reference, random_subspace_basis, random_vector,
                      record_calls, wide_rational_matrix, wide_shapes)
@@ -526,3 +527,28 @@ def test_slot_at_the_cli_limit_holds_the_bound():
         nb, code = _slot(top + 1)
         assert top < 1 << 8 * nb
         assert (nb, 2 * array(code).itemsize) == (16, 16)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 1073741789],
+                         ids=["2^31-1", "below-2^30"])
+@pytest.mark.parametrize("k", [cli.MAX_DIM, 2**32 - 1],
+                         ids=["MAX_DIM", "2^32-1"])
+def test_folded_wide_slots_are_the_slot_values_mod_p(p, k):
+    """16-byte slots are read folded, not joined: with every slot at the
+    elimination bound p + k (p - 1)^2, the most a slot can hold after k
+    row operations, and with random values up to it, the values _slots
+    returns are the slot values mod p, up to one reduction, for k up to
+    the largest row or column count the fold's 2^94 bound allows."""
+    top = p + k * (p - 1) ** 2
+    assert top < 2**94
+    nb, code = _slot(top + 1)
+    assert nb == 16
+    rng = random.Random(p + k)
+    count = rng.randint(2, 9)
+    for values in ([top] * count,
+                   [rng.randint(0, top) for _ in range(count)],
+                   [top, 0, p, p - 1, 2**63, 2**64 - 1, 2**64]):
+        x = sum(v << 128 * j for j, v in enumerate(values))
+        got = list(_slots(x, len(values), nb, code,
+                          _fold(nb, len(values), p)))
+        assert [v % p for v in got] == [v % p for v in values]
