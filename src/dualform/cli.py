@@ -7,6 +7,7 @@ the form fails to vanish on its radical.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -310,7 +311,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared by every later
+    call in the process; callers must not mutate it."""
     ap = argparse.ArgumentParser(
         prog="dualform",
         description="Exact quadratic forms on subspaces and their duals.")

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -11,6 +12,8 @@ from dualform.cli import MAX_DIGITS, MAX_DIM, main, parse_problem
 from helpers import FQ
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def fx(name):
@@ -433,6 +436,44 @@ class TestDeterminism:
         dd = json.loads(out)
         assert dd["dual_coefficients"]["diag"] == ["1/2", "3/2", "0"]
         assert dd["dual_coefficients"]["upper"] == [[0, 1, "2"]]
+
+
+def test_one_parser_serves_every_call(capsys):
+    """main reuses one parser; nothing of a call, a usage error or a flag,
+    carries over into the next."""
+    assert cli.build_parser() is cli.build_parser()
+    for argv in (["linked", fx("paper5.json")],
+                 ["no-such-command", fx("paper5.json")]):
+        errs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errs.append(captured.err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("usage: dualform")
+    code, out, err = run_cli(capsys, "linked", fx("paper5.json"),
+                             "--form=0,1,0,0,0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["representative"] == ["0", "-3", "2", "0", "0"]
+    code, out, _ = run_cli(capsys, "dualize", fx("paper5.json"),
+                           "--half-gram")
+    assert code == 0 and "half_gram" in json.loads(out)
+    code, out, _ = run_cli(capsys, "dualize", fx("paper5.json"))
+    assert code == 0 and "half_gram" not in json.loads(out)
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    argv = ["dualize", fx("paper5.json")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualform.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    for _ in range(2):
+        assert run_cli(capsys, *argv) == (0, proc.stdout, "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
 from dualform import (CharTwo, DivisionByZero, NotPrime, PrimeField,
-                      RationalField, make_field)
+                      RationalField, fields, make_field)
 
 
 def test_make_field_prime():
@@ -29,6 +29,21 @@ def test_make_field_composite_rejected():
 def test_bad_primes(p):
     with pytest.raises(NotPrime):
         PrimeField(p)
+
+
+def _trial_division(p):
+    return p >= 2 and all(p % f for f in range(2, isqrt(p) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    # 2047, 1373653 and 25326001 are the least strong pseudoprimes to the
+    # bases (2), (2, 3) and (2, 3, 5); 561 and 41041 are Carmichael numbers.
+    extra = [2047, 1373653, 25326001, 561, 41041, 2147483647, 2147483629,
+             2147483645]
+    for p in list(range(2**16)) + extra:
+        assert fields._is_prime(p) == _trial_division(p), p
+    assert [fields._is_prime(p) for p in extra] == \
+        [False, False, False, False, False, True, True, False]
 
 
 def test_invert_gf5():
@@ -102,6 +117,12 @@ def test_scalar_text_round_trip():
     FQ = make_field("rational")
     for text in ("-3/2", "4", "0", "7/3"):
         assert FQ.format(FQ.parse(text)) == text
+    for text in (" 3/4 ", "-0/5", "007", "-12/8"):
+        value = FQ.parse(text)
+        assert type(value) is Fraction and value == Fraction(text)
+    for parse in (FQ.parse, Fraction):
+        with pytest.raises(ZeroDivisionError):
+            parse("1/0")
     F7 = make_field("prime", 7)
     assert F7.parse("12") == 5
     assert F7.format(F7.parse("5")) == "5"
