@@ -23,6 +23,9 @@ class AdaptedBasis:
     i1 + i2.  Rows of a_inv are the dual basis in standard dual coordinates;
     its rows on i3 are the canonical basis of R^ = ann(S).  Column j of
     coords holds the s_basis coordinates of column j < m of a.
+
+    One is memoized per instance and shared by every caller; it holds
+    only immutable Matrix objects and ranges, so sharing it is safe.
     """
 
     __slots__ = ("a", "a_inv", "coords", "i1", "i2", "i3")
@@ -55,10 +58,13 @@ class LinkedCoset:
         self.radical = radical
 
     def members(self, coeffs):
-        """Representative shifted by the given combination of radical rows."""
+        """Representative shifted by the given combination of radical rows,
+        one coefficient per row; LengthMismatch otherwise."""
+        if len(coeffs) != self.radical.dim:
+            raise LengthMismatch("coefficient count != dim of the radical")
         F = self.radical.field
         out = self.representative
-        for c, i in zip(coeffs, range(self.radical.dim)):
+        for i, c in enumerate(coeffs):
             out = vec_add(F, out, vec_scale(F, F.scalar(c),
                                             self.radical.basis.row(i)))
         return out
@@ -77,7 +83,8 @@ class DualFormResult:
 
 
 def adapted_basis(inst):
-    """Deterministic adapted basis for an instance.
+    """Deterministic adapted basis for an instance, computed once and
+    memoized on it: the instance's shared basis, which must not be mutated.
 
     If the instance's own s_basis is already radical-first it is reused;
     otherwise the radical's canonical rows are completed inside S with
@@ -95,6 +102,8 @@ def adapted_basis(inst):
     S-basis at P, invertible because e_K completes the S-basis.  Its one
     inversion is that of S_P.
     """
+    if inst._adapted is not None:
+        return inst._adapted
     rad = inst.radical()
     F = inst.field
     d, m, n = rad.dim, inst.m, inst.n
@@ -118,7 +127,8 @@ def adapted_basis(inst):
     a = s_vectors._vstack(Matrix._units(F, r_hat.pivots, n)).transpose()
     s_inv = invert_matrix(s_vectors.submatrix(range(m), P))
     a_inv = _spread(s_inv.transpose(), P, n)._vstack(r_hat.basis)
-    return AdaptedBasis(a, a_inv, coords, d, m, n)
+    inst._adapted = AdaptedBasis(a, a_inv, coords, d, m, n)
+    return inst._adapted
 
 
 def _check_in_s_hat(inst, rad, a_star):

@@ -98,18 +98,20 @@ class MetricSpace:
     rref, coordinates, change of basis, the radical) shares them.
 
     An instance is immutable, so mutating s_basis or form after
-    construction is unsupported.  It memoizes two derived facts: its
-    radical, computed on first use, and the span transform T of the rref
-    of the s_basis rows, whose row i holds the s_basis coordinates of the
-    i-th canonical row of S.  The constructor keeps T from the rref that
-    builds the subspace.  An instance built internally is given its
-    subspace, and a dual form also its radical and a function computing
-    its T on its first coordinate question, both read off dualize's own
-    eliminations; otherwise that question runs the rref.
+    construction is unsupported.  It memoizes three derived facts: its
+    radical, computed on first use; the span transform T of the rref of
+    the s_basis rows, whose row i holds the s_basis coordinates of the
+    i-th canonical row of S; and its adapted basis, filled in by
+    dual.adapted_basis on first use (this module does not import dual).
+    The constructor keeps T from the rref that builds the subspace.  An
+    instance built internally is given its subspace, and a dual form also
+    its radical and a function computing its T on its first coordinate
+    question, both read off dualize's own eliminations; otherwise that
+    question runs the rref.
     """
 
     __slots__ = ("field", "n", "subspace", "_basis", "form", "_span_t",
-                 "_radical")
+                 "_radical", "_adapted")
 
     def __init__(self, field, n, s_basis, form, subspace=None):
         self.field = field
@@ -133,6 +135,7 @@ class MetricSpace:
             raise LengthMismatch("form defined over a different field")
         self.form = form
         self._radical = None
+        self._adapted = None
 
     @classmethod
     def _trusted(cls, field, n, basis, form, subspace, span_t=None,
@@ -145,6 +148,7 @@ class MetricSpace:
         self.field, self.n, self._basis = field, n, basis
         self.subspace, self.form = subspace, form
         self._span_t, self._radical = span_t, radical
+        self._adapted = None
         return self
 
     @property

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from dualform import (Matrix, MetricSpace, NotInSHat, NotInSubspace,
-                      QuadraticForm, RadicalConditionViolated, Subspace,
-                      adapted_basis, b_linked, converse_relation_check,
-                      double_dual_check, dualize, linked_coset, linked_forms)
+from dualform import (LengthMismatch, LinearMap, Matrix, MetricSpace,
+                      NotInSHat, NotInSubspace, QuadraticForm,
+                      RadicalConditionViolated, Subspace, adapted_basis,
+                      b_linked, converse_relation_check, double_dual_check,
+                      dualize, linked_coset, linked_forms, theorem_psi_check)
 from dualform import fields, linalg
 from dualform.cli import parse_problem
 from dualform.linalg import dot, vec_add, vec_scale
@@ -101,6 +102,13 @@ class TestLinkedCoset:
     def test_rejects_non_annihilating(self):
         with pytest.raises(NotInSHat):
             linked_coset(paper5(), (1, 0, 0, 0, 0))
+
+    def test_members_takes_one_coefficient_per_radical_row(self):
+        coset = linked_coset(paper5(), (0, 1, 0, 0, 0))
+        assert coset.members([5]) == (5, -3, 2, 0, 0)
+        for coeffs in ([5, 7], []):
+            with pytest.raises(LengthMismatch):
+                coset.members(coeffs)
 
 
 class TestLinkedForms:
@@ -291,6 +299,12 @@ class TestConverseRelation:
             assert converse_relation_check(inst, pairs) is True
 
 
+def _parsed(fixture):
+    path = os.path.join(os.path.dirname(__file__), "fixtures", fixture)
+    with open(path) as fh:
+        return parse_problem(fh.read())
+
+
 def _radical_last(F, n, m, d):
     """A seeded instance of dim S = m in F^n whose coefficients touching
     the last d s_basis vectors vanish, so the radical sits at the end of
@@ -308,9 +322,9 @@ def _gf3_not_radical_first():
     return _radical_last(F3, 24, 18, 3)
 
 
-@pytest.mark.parametrize("fixture, first, again", [("paper5.json", 6, 4),
-                                                  ("hyp_gf2.json", 5, 4),
-                                                  ("gf3-n24", 7, 5)])
+@pytest.mark.parametrize("fixture, first, again", [("paper5.json", 6, 2),
+                                                  ("hyp_gf2.json", 5, 2),
+                                                  ("gf3-n24", 7, 2)])
 def test_dualize_elimination_count(monkeypatch, fixture, first, again):
     """Guard against redundant eliminations: rref and the echelon loop it
     shares with the T-free callers are rebound in every dualform module
@@ -321,7 +335,8 @@ def test_dualize_elimination_count(monkeypatch, fixture, first, again):
     S when it is not first, and two inverses, of the m x m block of the
     S-basis that gives a^-1 and of the middle Gram block: only these two
     build a transform, and neither is larger than m x m.  A second
-    dualize reuses the memoized radical."""
+    dualize reuses the memoized radical and adapted basis: it runs only
+    the inverse of the t x t middle Gram block and the echelon of ann(R)."""
     if fixture == "gf3-n24":
         inst = _gf3_not_radical_first()
         rad = inst.radical()
@@ -330,9 +345,7 @@ def test_dualize_elimination_count(monkeypatch, fixture, first, again):
                        for b in inst.s_basis[:rad.dim])
         inst = _gf3_not_radical_first()
     else:
-        path = os.path.join(os.path.dirname(__file__), "fixtures", fixture)
-        with open(path) as fh:
-            inst = parse_problem(fh.read())
+        inst = _parsed(fixture)
     calls = record_calls(monkeypatch, linalg.rref, linalg._echelon)
     dualize(inst)
     assert len(calls) == first, calls
@@ -341,8 +354,9 @@ def test_dualize_elimination_count(monkeypatch, fixture, first, again):
     assert inst.radical() is inst.radical()
     del calls[:]
     dualize(inst)
+    t = inst.m - inst.radical().dim
     assert len(calls) == again, calls
-    assert [c[0] for c in calls].count("rref") == 2, calls
+    assert [c for c in calls if c[0] == "rref"] == [("rref", t, t)], calls
 
 
 @pytest.mark.parametrize("F", [FQ, F3, fields.PrimeField(2**31 - 1)],
@@ -372,14 +386,42 @@ def test_dualize_leaves_the_dual_span_transform_to_its_first_question(
         assert shapes.count(product) == formed
 
 
+@pytest.mark.parametrize("make", [
+    lambda: _parsed("paper5.json"),
+    lambda: _radical_last(FQ, 16, 12, 2)], ids=["paper5", "q-n16"])
+def test_adapted_basis_is_computed_once_per_instance(monkeypatch, make):
+    """The adapted basis is memoized on its instance and shared by
+    dualize, linked_forms and theorem_psi_check: after one dualize,
+    linked_forms eliminates nothing and a second theorem_psi_check runs
+    only the inverse of the t x t middle Gram block and the echelon of
+    ann(R), with the same results as on a fresh copy of the instance."""
+    inst = make()
+    ab = adapted_basis(inst)
+    assert adapted_basis(inst) is ab
+    assert dualize(inst).adapted is ab
+    F, n = inst.field, inst.n
+    d, t = inst.radical().dim, inst.m - inst.radical().dim
+    s = inst.from_coords(random_vector(random.Random(5), F, inst.m))
+    psi = LinearMap(Matrix.identity(F, n))
+    theorem_psi_check(inst, psi, 1)
+    calls = record_calls(monkeypatch, linalg.rref, linalg._echelon)
+    forms = linked_forms(inst, s)
+    assert calls == []
+    report = theorem_psi_check(inst, psi, 1)
+    assert sorted(calls) == [("_echelon", d, n), ("rref", t, t)]
+    fresh = make()
+    assert report.blocks == theorem_psi_check(fresh, psi, 1).blocks
+    fresh_ab = adapted_basis(fresh)
+    assert (ab.a, ab.a_inv, ab.coords) == \
+        (fresh_ab.a, fresh_ab.a_inv, fresh_ab.coords)
+    assert forms.representative == linked_forms(fresh, s).representative
+
+
 def test_linked_coset_runs_one_elimination(monkeypatch):
     """linked_coset reads one particular solution of G x = B f* off one
     rref of the polar Gram matrix G, and not G's null space: the coset's
     radical is the instance's memoized one."""
-    path = os.path.join(os.path.dirname(__file__), "fixtures",
-                        "paper5.json")
-    with open(path) as fh:
-        inst = parse_problem(fh.read())
+    inst = _parsed("paper5.json")
     inst.radical()
     calls = record_calls(monkeypatch, linalg.rref, linalg._echelon)
     coset = linked_coset(inst, (0, 1, 0, 0, 0))
@@ -409,9 +451,7 @@ def test_dualize_clears_each_rational_matrix_once(monkeypatch, fixture,
                        for b in inst.s_basis[:2])
         inst = _radical_last(FQ, 16, 12, 2)
     else:
-        path = os.path.join(os.path.dirname(__file__), "fixtures", fixture)
-        with open(path) as fh:
-            inst = parse_problem(fh.read())
+        inst = _parsed(fixture)
     calls = record_calls(monkeypatch, linalg._int_rows)
     dualize(inst)
     assert [c[1:] for c in calls] == first
@@ -426,9 +466,7 @@ def test_dualize_makes_no_per_entry_field_calls(monkeypatch, fixture):
     every field class, as the traced benchmark does.  The only calls left
     are the constant 2 = 1 + 1 of each of the three polar Gram matrices, so
     a loop that slips back to per-entry Field calls fails."""
-    path = os.path.join(os.path.dirname(__file__), "fixtures", fixture)
-    with open(path) as fh:
-        inst = parse_problem(fh.read())
+    inst = _parsed(fixture)
     calls = []
 
     def counting(raw):
