@@ -136,6 +136,8 @@ def parse_problem(text, field_override=None):
         if not (_is_int(i) and _is_int(j) and 0 <= i < j < m):
             raise ValidationError(f"Q.upper index ({i}, {j}) out of order "
                                   f"or range")
+        if (i, j) in upper:
+            raise ValidationError(f"Q.upper pair ({i}, {j}) listed twice")
         upper[(i, j)] = _parse_scalar(field, v, f"Q.upper[{i},{j}]")
     try:
         return MetricSpace(field, n, basis, QuadraticForm(field, diag, upper))
@@ -163,6 +165,13 @@ def _fmt_form(field, form):
 def _half_gram(inst):
     F = inst.field
     return _fmt_mat(inst.polar_gram().scale(F.halve(F.one)))
+
+
+def _fmt_coset(field, coset):
+    return {
+        "representative": _fmt_vec(field, coset.representative),
+        "radical_basis": _fmt_mat(coset.radical.basis),
+    }
 
 
 def _parse_vector_flag(field, text, n, name):
@@ -212,20 +221,12 @@ def _cmd_double_dual(inst, args):
 
 def _cmd_linked(inst, args):
     f_star = _parse_vector_flag(inst.field, args.form, inst.n, "--form")
-    coset = linked_coset(inst, f_star)
-    return {
-        "representative": _fmt_vec(inst.field, coset.representative),
-        "radical_basis": _fmt_mat(coset.radical.basis),
-    }
+    return _fmt_coset(inst.field, linked_coset(inst, f_star))
 
 
 def _cmd_linked_forms(inst, args):
     s = _parse_vector_flag(inst.field, args.vector, inst.n, "--vector")
-    coset = linked_forms(inst, s)
-    return {
-        "representative": _fmt_vec(inst.field, coset.representative),
-        "radical_basis": _fmt_mat(coset.radical.basis),
-    }
+    return _fmt_coset(inst.field, linked_forms(inst, s))
 
 
 def _cmd_normalize(inst, args):
@@ -244,21 +245,21 @@ def _cmd_normalize(inst, args):
     return doc
 
 
+def _parse_square(field, rows, n, name):
+    """rows, n lists of n wire scalars, as a Matrix; shape checked first."""
+    if not (isinstance(rows, list) and len(rows) == n
+            and all(isinstance(r, list) and len(r) == n for r in rows)):
+        raise ValidationError(f"{name} must be a {n} x {n} matrix")
+    return Matrix(field, [[_parse_scalar(field, x, name) for x in row]
+                          for row in rows], cols=n)
+
+
 def _cmd_similarity(inst, args):
-    if not args.map:
-        raise ValidationError("similarity needs --map FILE")
     with open(args.map, "r", encoding="utf-8") as fh:
         mdoc = _load_json(fh.read())
     if not isinstance(mdoc, dict) or "P" not in mdoc:
         raise ValidationError("map file must contain key 'P'")
-    rows = mdoc["P"]
-    if not (isinstance(rows, list) and len(rows) == inst.n
-            and all(isinstance(r, list) and len(r) == inst.n
-                    for r in rows)):
-        raise ValidationError(f"P must be a {inst.n} x {inst.n} matrix")
-    P = Matrix(inst.field,
-               [[_parse_scalar(inst.field, x, "P") for x in row]
-                for row in rows], cols=inst.n)
+    P = _parse_square(inst.field, mdoc["P"], inst.n, "P")
     c = _parse_scalar(inst.field, args.ratio, "--ratio")
     try:
         psi = LinearMap(P)
@@ -283,13 +284,11 @@ def _cmd_adjugate(doc, args, field):
     if "M" not in doc:
         raise ValidationError("adjugate input needs key 'M'")
     rows = doc["M"]
-    if isinstance(rows, list) and len(rows) > MAX_DIM:
-        raise ValidationError(f"M: {len(rows)} rows, over the limit {MAX_DIM}")
-    if not isinstance(rows, list) or any(
-            not isinstance(r, list) or len(r) != len(rows) for r in rows):
+    if not isinstance(rows, list):
         raise ValidationError("M must be a square matrix")
-    M = Matrix(field, [[_parse_scalar(field, x, "M") for x in row]
-                       for row in rows], cols=len(rows))
+    if len(rows) > MAX_DIM:
+        raise ValidationError(f"M: {len(rows)} rows, over the limit {MAX_DIM}")
+    M = _parse_square(field, rows, len(rows), "M")
     adj = adjugate(M)
     # adj * M = det * I, so det is entry (0, 0) of that product
     d = dot(field, adj.row(0), M.column(0)) if M.rows else field.one

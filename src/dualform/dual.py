@@ -12,9 +12,8 @@ coset chasing via linked_coset(), kept separate so tests can cross-validate.
 """
 
 from .errors import LengthMismatch, NotInSHat, RadicalConditionViolated
-from .linalg import (Matrix, Subspace, _kept_units, _null_space,
-                     _particular, _row_dots, _spread, annihilator, dot,
-                     invert_matrix, vec_add, vec_scale)
+from .linalg import (Matrix, Subspace, _kept_units, _particular, _row_dots,
+                     _spread, annihilator, invert_matrix, kernel, vec_add)
 from .quadform import MetricSpace, QuadraticForm, Radical
 
 
@@ -63,11 +62,8 @@ class LinkedCoset:
         if len(coeffs) != self.radical.dim:
             raise LengthMismatch("coefficient count != dim of the radical")
         F = self.radical.field
-        out = self.representative
-        for i, c in enumerate(coeffs):
-            out = vec_add(F, out, vec_scale(F, F.scalar(c),
-                                            self.radical.basis.row(i)))
-        return out
+        shift = Matrix(F, [coeffs]).mul(self.radical.basis).row(0)
+        return vec_add(F, self.representative, shift)
 
 
 class DualFormResult:
@@ -93,7 +89,7 @@ def adapted_basis(inst):
     coordinates of canonical row i, so rad_c T has the radical's.  The
     S-basis is then completed to F^n with the standard basis vectors e_k,
     k in K, at which the canonical rows of its null space ann(S) lead: one
-    m x n echelon, without transform (see linalg._null_space).
+    m x n echelon, without transform (see linalg.kernel).
 
     a^-1 needs no elimination of a.  Its rows dual to the e_k vanish on
     S and are 1 at k and 0 at the rest of K: they are the canonical rows
@@ -121,7 +117,7 @@ def adapted_basis(inst):
                                                                  range(n)))
         coords = rad_c.mul(T)._vstack(T.submatrix(kept, range(m)))
         coords = coords.transpose()
-    r_hat = _null_space(s_vectors)
+    r_hat = kernel(s_vectors)
     kept = set(r_hat.pivots)
     P = [j for j in range(n) if j not in kept]
     a = s_vectors._vstack(Matrix._units(F, r_hat.pivots, n)).transpose()
@@ -131,32 +127,30 @@ def adapted_basis(inst):
     return inst._adapted
 
 
-def _check_in_s_hat(inst, rad, a_star):
+def _in_s_hat(inst, rad, a_star):
+    """The dual vector a_star as a tuple of scalars; NotInSHat unless it
+    annihilates the radical rad of inst."""
+    a_star = tuple(map(inst.field.scalar, a_star))
     if len(a_star) != inst.n:
         raise LengthMismatch("dual vector length != n")
-    F = inst.field
-    for i in range(rad.subspace.dim):
-        if not F.is_zero(dot(F, a_star, rad.subspace.basis.row(i))):
-            raise NotInSHat("form does not annihilate the radical")
+    if any(rad.subspace.basis.mul_vec(a_star)):
+        raise NotInSHat("form does not annihilate the radical")
+    return a_star
 
 
 def b_linked(inst, a_star, x):
     """Whether the form a* is linked to the vector x (both ambient):
     <a*, b_j> = B(x, b_j) = (G coords(x))_j for the polar Gram matrix G on
     s_basis, in every characteristic."""
-    F = inst.field
-    a_star = tuple(F.scalar(v) for v in a_star)
     coords = inst.coords_of(x)
-    _check_in_s_hat(inst, inst.radical(), a_star)
+    a_star = _in_s_hat(inst, inst.radical(), a_star)
     return inst.polar_gram().mul_vec(coords) == inst._basis.mul_vec(a_star)
 
 
 def linked_coset(inst, f_star):
     """All vectors of S linked to f*: a representative plus the radical."""
-    F = inst.field
-    f_star = tuple(F.scalar(v) for v in f_star)
     rad = inst.radical()
-    _check_in_s_hat(inst, rad, f_star)
+    f_star = _in_s_hat(inst, rad, f_star)
     sol = _particular(inst.polar_gram(), inst._basis.mul_vec(f_star))
     assert sol is not None  # guaranteed once f* annihilates the radical
     return LinkedCoset(inst.from_coords(sol), rad.subspace)

@@ -99,6 +99,8 @@ class RationalField(Field):
             return x
         if isinstance(x, str):
             return self.parse(x)
+        if isinstance(x, float):
+            raise ValidationError(f"inexact float scalar {x!r}")
         return Fraction(x)
 
     def add(self, a, b):
@@ -152,6 +154,8 @@ class PrimeField(Field):
                 return self.div(x.numerator % self.p,
                                 self.scalar(x.denominator))
             x = x.numerator
+        if isinstance(x, float):
+            raise ValidationError(f"inexact float scalar {x!r}")
         return x % self.p
 
     def add(self, a, b):

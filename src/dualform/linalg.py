@@ -125,7 +125,7 @@ class Matrix:
     read and return that form; a matrix built from ``Fraction`` rows
     clears them once, on first use, and keeps the result, and a matrix
     computed here builds its ``Fraction`` rows ``data`` only when an entry
-    is first read.  Equality and hash depend only on the entries.  With
+    is first read.  Equality and hash depend on the shape and entries.  With
     e_k the denominators of B's cleared rows and L their lcm, row i of A B
     is the int dot products of A's row i, entry k times L / e_k, with the
     columns of B's int rows, over dens[i] * L.
@@ -292,14 +292,15 @@ class Matrix:
                            else self._q[0]))
 
     def __eq__(self, other):
-        if not (isinstance(other, Matrix) and self.field == other.field):
+        if not (isinstance(other, Matrix) and self.field == other.field
+                and self.rows == other.rows and self.cols == other.cols):
             return False
         if self.field.characteristic():
             return self.data == other.data
         return self._ints() == other._ints()
 
     def __hash__(self):
-        return hash((self.field, self.data))
+        return hash((self.field, self.rows, self.cols, self.data))
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {[list(r) for r in self.data]})"
@@ -653,7 +654,7 @@ def _flipped(M):
                            dens[::-1], M.cols)
 
 
-def _null_space(M):
+def kernel(M):
     """Solution space of M x = 0 as a Subspace of F^cols, from one echelon
     of M read from its last row and column: every kernel, annihilator and
     greedy completion comes from here.
@@ -675,11 +676,6 @@ def _null_space(M):
     return Subspace(M.field, M.cols, _flipped(_null_rows(W, pivots, free)))
 
 
-def kernel(M):
-    """Solution space of M x = 0 as a Subspace of F^cols."""
-    return _null_space(M)
-
-
 def _particular(M, b):
     """solve's particular solution, or None, without the null space."""
     if len(b) != M.rows:
@@ -697,12 +693,12 @@ def _particular(M, b):
 def solve(M, b):
     """All solutions of M x = b as (particular, homogeneous) or None."""
     x = _particular(M, b)
-    return None if x is None else (x, _null_space(M))
+    return None if x is None else (x, kernel(M))
 
 
 def annihilator(T):
     """Linear forms (dual coordinate rows) vanishing on T."""
-    return _null_space(T.basis)
+    return kernel(T.basis)
 
 
 def _spread(M, cols, k):
@@ -729,7 +725,7 @@ def _kept_units(M):
 
     They are the pivots of the null space of M, the i that are not
     pivots of the rows' echelon form with the columns read from the last
-    one (see _null_space).  Proof: a skipped e_j lies in the span before
+    one (see kernel).  Proof: a skipped e_j lies in the span before
     it, so the span before e_i is P + <e_0, ..., e_(i-1)>, with P the
     span of the rows.  e_i lies in it exactly when some vector of P is 1
     at i and 0 after i, that is when dropping coordinate i from P
@@ -738,7 +734,7 @@ def _kept_units(M):
     Read from column k-1 down, these two ranks count the pivots up to and
     before column i, so e_i is skipped exactly when i is a pivot.
     """
-    return _null_space(M).pivots
+    return kernel(M).pivots
 
 
 def extend_basis(inner, outer):

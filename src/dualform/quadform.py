@@ -8,7 +8,7 @@ values.
 """
 
 from .errors import LengthMismatch, NotInSubspace, Singular
-from .linalg import (Matrix, Subspace, _canon, dot, kernel, rank, rref,
+from .linalg import (Matrix, Subspace, _canon, _row_dots, kernel, rank, rref,
                      vec_add)
 
 
@@ -104,32 +104,27 @@ class MetricSpace:
     i-th canonical row of S; and its adapted basis, filled in by
     dual.adapted_basis on first use (this module does not import dual).
     The constructor keeps T from the rref that builds the subspace.  An
-    instance built internally is given its subspace, and a dual form also
-    its radical and a function computing its T on its first coordinate
-    question, both read off dualize's own eliminations; otherwise that
-    question runs the rref.
+    instance built internally (_trusted) is given its subspace, and a dual
+    form also its radical and a function computing its T on its first
+    coordinate question, both read off dualize's own eliminations;
+    otherwise that question runs the rref.
     """
 
     __slots__ = ("field", "n", "subspace", "_basis", "form", "_span_t",
                  "_radical", "_adapted")
 
-    def __init__(self, field, n, s_basis, form, subspace=None):
+    def __init__(self, field, n, s_basis, form):
         self.field = field
         self.n = n
-        rows = [tuple(field.scalar(x) for x in row) for row in s_basis]
-        for row in rows:
-            if len(row) != n:
-                raise LengthMismatch("basis vector length != n")
-        self._basis = Matrix._trusted(field, rows, n)
-        self._span_t = None
-        if subspace is None:
-            R, self._span_t, pivots = rref(self._basis)
-            subspace = Subspace(field, n,
-                                R.submatrix(range(len(pivots)), range(n)))
-        self.subspace = subspace
-        if subspace.dim != len(rows):
+        self._basis = Matrix(field, s_basis, cols=n)
+        if self._basis.cols != n:
+            raise LengthMismatch("basis vector length != n")
+        R, self._span_t, pivots = rref(self._basis)
+        self.subspace = Subspace(field, n,
+                                 R.submatrix(range(len(pivots)), range(n)))
+        if len(pivots) != self.m:
             raise LengthMismatch("s_basis is linearly dependent")
-        if form.m != len(rows):
+        if form.m != self.m:
             raise LengthMismatch("coefficient table size != dim S")
         if form.field != field:
             raise LengthMismatch("form defined over a different field")
@@ -243,12 +238,10 @@ class MetricSpace:
         zero set of the form restricted to the radical is a subspace, so
         checking a basis R is complete: Q(r) = r^t A r for A = form.matrix().
         """
-        F = self.field
-        if F.characteristic() != 2:
+        if self.field.characteristic() != 2:
             return True
         R = self.radical().in_domain.basis
-        return not any(dot(F, r, ra) for r, ra in
-                       zip(R.data, R.mul(self.form.matrix()).data))
+        return not any(_row_dots(R, R.mul(self.form.matrix())))
 
     def change_of_basis(self, T):
         """Re-express the form on the basis b'_j = sum_i T[i][j] b_i.

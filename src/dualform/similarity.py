@@ -9,7 +9,7 @@ the plain matrix transpose.
 from .dual import dualize, linked_forms
 from .errors import (IsotropicVector, LengthMismatch, NotInSubspace,
                      RadicalConditionViolated, Singular, ZeroRatio)
-from .linalg import Matrix, rank, vec_scale, vec_sub
+from .linalg import Matrix, _canon, rank
 from .quadform import QuadraticForm
 
 
@@ -146,14 +146,10 @@ def reflection(inst, s):
     if F.is_zero(qs):
         raise IsotropicVector("reflection needs Q(s) != 0")
     f_star = linked_forms(inst, s).representative
-    inv_qs = F.inv(qs)
-    n = inst.n
-    cols = []
-    for j in range(n):
-        e_j = tuple(F.one if k == j else F.zero for k in range(n))
-        cols.append(vec_sub(F, e_j,
-                            vec_scale(F, F.mul(inv_qs, f_star[j]), s)))
-    # an involution by construction, so no rank check
-    psi_ext = LinearMap._trusted(Matrix._trusted(F, zip(*cols), n))
+    # I - Q(s)^-1 s f*^t; an involution by construction, so no rank check
+    p, inv_qs = F.characteristic(), F.inv(qs)
+    psi_ext = LinearMap._trusted(Matrix._trusted(F, [
+        _canon(p, [int(i == j) - inv_qs * x * f for j, f in enumerate(f_star)])
+        for i, x in enumerate(s)], inst.n))
     phi_s = _image_coords(inst, psi_ext)
     return phi_s, psi_ext, f_star

@@ -236,10 +236,15 @@ def _paper5_doc(**changes):
     (["adjugate"], {"field": "rational",
                     "M": [["1" + "0" * (MAX_DIGITS - 1) if i == j else "0"
                            for j in range(5)] for i in range(5)]}),
+    (["normalize"], {"field": "rational", "n": 2,
+                     "S": [["1", "0"], ["0", "1"]],
+                     "Q": {"diag": ["1", "-2"],
+                           "upper": [[0, 1, "1"], [0, 1, "5"]]}}),
 ], ids=["p-string", "kind-int", "upper-int", "adjugate-list",
         "half-gram-list", "M-flat", "n-bool", "exponent-scalar",
         "exponent-ratio", "decimal-scalar", "exponent-vector",
-        "residue-underscore", "digits-result", "digits-result-in-limit"])
+        "residue-underscore", "digits-result", "digits-result-in-limit",
+        "upper-duplicate"])
 def test_malformed_input_is_an_error_line(capsys, tmp_path, argv, doc):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

@@ -4,8 +4,9 @@ from math import gcd, isqrt
 
 import pytest
 
-from dualform import (CharTwo, DivisionByZero, NotPrime, PrimeField,
-                      RationalField, fields, make_field)
+from dualform import (CharTwo, DivisionByZero, Matrix, NotPrime, PrimeField,
+                      RationalField, ValidationError, fields, make_field,
+                      rank)
 
 
 def test_make_field_prime():
@@ -144,3 +145,15 @@ def test_parse_enforces_the_wire_grammar(field, text):
     with pytest.raises(ValueError):
         field.parse(text)
     assert field.parse(" -12 ") == field.scalar(-12)
+
+
+@pytest.mark.parametrize("field, x", [(make_field("rational"), 0.1),
+                                      (make_field("prime", 7), 1.5),
+                                      (make_field("prime", 7), 2.0)])
+def test_scalar_refuses_floats(field, x):
+    """A float is not exact: scalar raises, and so does a matrix of one,
+    before any elimination."""
+    with pytest.raises(ValidationError):
+        field.scalar(x)
+    with pytest.raises(ValidationError):
+        rank(Matrix(field, [[x, 2], [3, 4]]))

@@ -552,3 +552,15 @@ def test_folded_wide_slots_are_the_slot_values_mod_p(p, k):
         got = list(_slots(x, len(values), nb, code,
                           _fold(nb, len(values), p)))
         assert [v % p for v in got] == [v % p for v in values]
+
+
+@pytest.mark.parametrize("F", [FQ, F2], ids=repr)
+def test_equality_and_hash_see_the_shape(F):
+    """Matrices without rows, or of different shapes with equal rows, are
+    different matrices; equal ones still hash alike."""
+    for a, b in ((Matrix.zeros(F, 0, 2), Matrix.zeros(F, 0, 3)),
+                 (Matrix.identity(F, 0), Matrix.zeros(F, 0, 5))):
+        assert a != b and b != a
+        assert hash(a) != hash(b)
+    a, b = Matrix.zeros(F, 0, 4), Matrix.identity(F, 4).submatrix([], range(4))
+    assert a == b and hash(a) == hash(b)

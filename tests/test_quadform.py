@@ -22,6 +22,14 @@ class TestInit:
         with pytest.raises(LengthMismatch):
             QuadraticForm(FQ, [1, 2], {(False, True): 3})
 
+    def test_no_subspace_keyword(self):
+        """S is always spanned from s_basis: no caller can hand in a
+        subspace, right or wrong, unchecked."""
+        other = Subspace.from_rows(FQ, 3, [[0, 1, 0], [0, 0, 1]])
+        with pytest.raises(TypeError):
+            MetricSpace(FQ, 3, [[1, 0, 0], [0, 1, 0]],
+                        QuadraticForm(FQ, [1, 1]), subspace=other)
+
 
 class TestEvalQ:
     def test_paper_basis_vector(self):
