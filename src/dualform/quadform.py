@@ -98,20 +98,22 @@ class MetricSpace:
     rref, coordinates, change of basis, the radical) shares them.
 
     An instance is immutable, so mutating s_basis or form after
-    construction is unsupported.  It memoizes three derived facts: its
+    construction is unsupported.  It memoizes four derived facts: its
     radical, computed on first use; the span transform T of the rref of
     the s_basis rows, whose row i holds the s_basis coordinates of the
-    i-th canonical row of S; and its adapted basis, filled in by
-    dual.adapted_basis on first use (this module does not import dual).
-    The constructor keeps T from the rref that builds the subspace.  An
-    instance built internally (_trusted) is given its subspace, and a dual
-    form also its radical and a function computing its T on its first
-    coordinate question, both read off dualize's own eliminations;
-    otherwise that question runs the rref.
+    i-th canonical row of S; its adapted basis, filled in by
+    dual.adapted_basis on first use; and its dual, which dual's composite
+    checks fill in on first use and share (this module does not import
+    dual).  The constructor keeps T from the rref that builds the
+    subspace.  An instance built internally (_trusted) is given its
+    subspace, and a dual form also its radical and functions computing
+    its T on its first coordinate question and its adapted basis on
+    first use, all read off dualize's own results; otherwise those
+    questions run eliminations.
     """
 
     __slots__ = ("field", "n", "subspace", "_basis", "form", "_span_t",
-                 "_radical", "_adapted")
+                 "_radical", "_adapted", "_dual")
 
     def __init__(self, field, n, s_basis, form):
         self.field = field
@@ -131,19 +133,20 @@ class MetricSpace:
         self.form = form
         self._radical = None
         self._adapted = None
+        self._dual = None
 
     @classmethod
     def _trusted(cls, field, n, basis, form, subspace, span_t=None,
-                 radical=None):
+                 radical=None, adapted=None):
         """Internal constructor, unchecked: basis an m x n Matrix of
-        canonical rows spanning S, and span_t and radical, if known, the
-        facts the instance memoizes, span_t maybe as a function that
-        computes it on first use."""
+        canonical rows spanning S, and span_t, radical and adapted, if
+        known, the facts the instance memoizes, span_t and adapted maybe
+        as functions that compute them on first use."""
         self = object.__new__(cls)
         self.field, self.n, self._basis = field, n, basis
         self.subspace, self.form = subspace, form
         self._span_t, self._radical = span_t, radical
-        self._adapted = None
+        self._adapted, self._dual = adapted, None
         return self
 
     @property

@@ -6,9 +6,9 @@ transpose acts on dual coordinate rows; with the standard pairing this is
 the plain matrix transpose.
 """
 
-from .dual import dualize, linked_forms
+from .dual import _check_radical_condition, _shared_dual, linked_forms
 from .errors import (IsotropicVector, LengthMismatch, NotInSubspace,
-                     RadicalConditionViolated, Singular, ZeroRatio)
+                     Singular, ZeroRatio)
 from .linalg import Matrix, _canon, rank
 from .quadform import QuadraticForm
 
@@ -107,16 +107,15 @@ class SimilarityReport:
 def theorem_psi_check(inst, psi, c):
     """Evaluate the primal similarity condition and, independently, the
     dual-side condition for the transposed map; report both verdicts and
-    the adapted-basis block structure of the extension matrix."""
+    the adapted-basis block structure of the extension matrix.  The dual
+    is the instance's shared one, so repeated checks dualize it once."""
     F = inst.field
     c = F.scalar(c)
     if F.is_zero(c):
         raise ZeroRatio("similarity ratio must be nonzero")
-    if not inst.radical_condition_holds():
-        raise RadicalConditionViolated("no dual form exists")
+    dres = _shared_dual(inst)
     images = _image_coords(inst, psi)
     primal = _scales_form(inst, images, c)
-    dres = dualize(inst)
     dual = verify_similarity(dres.dual, transpose_map(psi), c)
     ab = dres.adapted
     p_ad = ab.a_inv.mul(psi.matrix).mul(ab.a)
@@ -138,8 +137,7 @@ def reflection(inst, s):
     -s and fixing the kernel of f*.
     """
     F = inst.field
-    if not inst.radical_condition_holds():
-        raise RadicalConditionViolated("no dual form exists")
+    _check_radical_condition(inst)
     s = tuple(F.scalar(x) for x in s)
     coords = inst.coords_of(s)
     qs = inst.eval_q(coords)

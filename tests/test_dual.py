@@ -392,15 +392,14 @@ def test_dualize_leaves_the_dual_span_transform_to_its_first_question(
 def test_adapted_basis_is_computed_once_per_instance(monkeypatch, make):
     """The adapted basis is memoized on its instance and shared by
     dualize, linked_forms and theorem_psi_check: after one dualize,
-    linked_forms eliminates nothing and a second theorem_psi_check runs
-    only the inverse of the t x t middle Gram block and the echelon of
-    ann(R), with the same results as on a fresh copy of the instance."""
+    linked_forms eliminates nothing and a second theorem_psi_check, which
+    reuses the instance's shared dual, runs no elimination, with the same
+    results as on a fresh copy of the instance."""
     inst = make()
     ab = adapted_basis(inst)
     assert adapted_basis(inst) is ab
     assert dualize(inst).adapted is ab
     F, n = inst.field, inst.n
-    d, t = inst.radical().dim, inst.m - inst.radical().dim
     s = inst.from_coords(random_vector(random.Random(5), F, inst.m))
     psi = LinearMap(Matrix.identity(F, n))
     theorem_psi_check(inst, psi, 1)
@@ -408,13 +407,41 @@ def test_adapted_basis_is_computed_once_per_instance(monkeypatch, make):
     forms = linked_forms(inst, s)
     assert calls == []
     report = theorem_psi_check(inst, psi, 1)
-    assert sorted(calls) == [("_echelon", d, n), ("rref", t, t)]
+    assert calls == []
     fresh = make()
     assert report.blocks == theorem_psi_check(fresh, psi, 1).blocks
     fresh_ab = adapted_basis(fresh)
     assert (ab.a, ab.a_inv, ab.coords) == \
         (fresh_ab.a, fresh_ab.a_inv, fresh_ab.coords)
     assert forms.representative == linked_forms(fresh, s).representative
+
+
+@pytest.mark.parametrize("fixture, count", [("paper5.json", 8),
+                                            ("hyp_gf2.json", 7)])
+def test_double_dual_check_elimination_count(monkeypatch, fixture, count):
+    """double_dual_check runs one dualize of the instance, 6 or 5
+    eliminations, and one of its dual, whose adapted basis is read off
+    the primal's a and a^-1: only the inverse of the middle Gram block
+    and the echelon of ann(R^) are left.  Asking for the instance's
+    coordinates on the double dual runs none."""
+    inst = _parsed(fixture)
+    calls = record_calls(monkeypatch, linalg.rref, linalg._echelon)
+    assert double_dual_check(inst) is True
+    assert len(calls) == count, calls
+
+
+def test_the_dual_adapted_basis_keeps_r_hat_canonical(monkeypatch):
+    """The dual's adapted basis costs no elimination, and its R^, which
+    is ann(S^) = R, is R's canonical basis, not the radical column of a:
+    here that column is (2, 0, 0), the radical-first s_basis vector."""
+    inst = MetricSpace(FQ, 3, [[2, 0, 0], [0, 1, 0]],
+                       QuadraticForm(FQ, [0, 1], {}))
+    dual = dualize(inst).dual
+    calls = record_calls(monkeypatch, linalg.rref, linalg._echelon)
+    assert adapted_basis(dual).r_hat == inst.radical().subspace
+    assert calls == []
+    assert dualize(dual).r_hat == inst.radical().subspace
+    assert inst.radical().subspace.basis == Matrix(FQ, [[1, 0, 0]])
 
 
 def test_linked_coset_runs_one_elimination(monkeypatch):

@@ -7,13 +7,14 @@ Gram block, a map in adapted block form is a similarity exactly when its
 transpose is one on the dual, and a reflection is an involution negating
 its vector.  What dualize reads off its own eliminations is what a fresh
 elimination gives: a^-1 a = I, the adapted coordinates are those of a's
-first m columns, R^ = ann(S), and the dual's radical and span transform
-are those of the same dual built from its rows.  The determinant is
+first m columns, R^ = ann(S), the dual's radical and span transform
+are those of the same dual built from its rows, and the dual's adapted
+basis, read off the primal's, meets its contract.  The determinant is
 multiplicative and invariant under transposition for n <= 6."""
 
 import pytest
 
-from dualform import (LinearMap, Matrix, MetricSpace, adapted_basis,
+from dualform import (LinearMap, Matrix, MetricSpace, Subspace, adapted_basis,
                       adjugate, annihilator, b_linked, det,
                       double_dual_check, dualize, linked_forms, make_field,
                       reflection, theorem_psi_check)
@@ -126,6 +127,33 @@ def test_the_dual_memoizes_what_a_fresh_instance_computes(F, data):
     ours, theirs = dual.radical(), fresh.radical()
     assert ours.subspace == theirs.subspace
     assert ours.in_domain == theirs.in_domain
+
+
+@FIELDS
+@PROPERTY
+@hypothesis.given(data=st.data())
+def test_the_dual_adapted_basis_meets_its_contract(F, data):
+    """The dual's adapted basis, read off the primal's, is the primal's
+    a^-1 with rows in the order i3, i2, i1, and meets the contract of
+    AdaptedBasis against a fresh MetricSpace on the dual's rows and form:
+    a a^-1 = I, columns i1 span the radical, i1 + i2 span S^, coords
+    holds s_basis coordinates and r_hat is ann(S^).  Double duality also
+    holds on the fresh instance, whose adapted basis is computed."""
+    inst = data.draw(instances(F))
+    n, ab = inst.n, adapted_basis(inst)
+    dual = dualize(inst).dual
+    fresh = MetricSpace(F, n, dual.s_basis, dual.form)
+    dab = adapted_basis(dual)
+    d, m = dab.i2.start, dab.i3.start
+    columns = dab.a.transpose()
+    assert columns == ab.a_inv.submatrix([*ab.i3, *ab.i2, *ab.i1], range(n))
+    assert dab.a.mul(dab.a_inv) == Matrix.identity(F, n)
+    assert Subspace.from_rows(F, n, columns.data[:d]) == \
+        fresh.radical().subspace
+    assert Subspace.from_rows(F, n, columns.data[:m]) == fresh.subspace
+    assert dab.coords == fresh.coords_matrix(list(columns.data[:m]))
+    assert dab.r_hat == annihilator(fresh.subspace)
+    assert double_dual_check(fresh) is True
 
 
 @FIELDS

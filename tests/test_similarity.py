@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from dualform import (IsotropicVector, LinearMap, Matrix, Singular, Subspace,
-                      ZeroRatio, annihilator, dualize, invert_matrix,
-                      reflection, theorem_psi_check, transpose_map,
-                      verify_similarity)
+from dualform import (IsotropicVector, LinearMap, Matrix, MetricSpace,
+                      QuadraticForm, RadicalConditionViolated, Singular,
+                      Subspace, ZeroRatio, annihilator, dualize,
+                      invert_matrix, reflection, theorem_psi_check,
+                      transpose_map, verify_similarity)
 from dualform.linalg import dot
 from helpers import (ALL_FIELDS, F2, F3, FQ, hyperbolic_gf2, paper5,
                      rad_char2, random_instance_with_condition, random_scalar,
@@ -282,6 +283,35 @@ def test_maps_built_internally_skip_the_rank_check(monkeypatch):
     report = theorem_psi_check(inst, psi_s, 1)
     assert ranks == [] and per_vector == []
     assert report.preserves_s and report.primal_ok and report.dual_ok
+
+
+def test_theorem_psi_check_asks_the_radical_condition_once(monkeypatch):
+    """theorem_psi_check leaves the radical condition to the dualize of
+    its shared dual, so on a fresh GF(2) instance, where each test forms
+    R A, it is asked once, and a violation reads the same from
+    theorem_psi_check, reflection and dualize."""
+    asked = []
+    raw = MetricSpace.radical_condition_holds
+
+    def counting(inst):
+        asked.append(inst)
+        return raw(inst)
+
+    monkeypatch.setattr(MetricSpace, "radical_condition_holds", counting)
+    inst = MetricSpace(F2, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                       QuadraticForm(F2, [0, 1, 1], {(1, 2): 1}))
+    assert inst.radical().dim == 1
+    psi = LinearMap(Matrix.identity(F2, 3))
+    assert theorem_psi_check(inst, psi, 1).dual_ok is True
+    assert asked == [inst]
+    messages = set()
+    for check in (dualize,
+                  lambda i: theorem_psi_check(i, psi, 1),
+                  lambda i: reflection(i, (0, 1, 0))):
+        with pytest.raises(RadicalConditionViolated) as exc:
+            check(rad_char2(F2))
+        messages.add(str(exc.value))
+    assert len(messages) == 1, messages
 
 
 def test_linear_map_rejects_a_non_square_matrix():
