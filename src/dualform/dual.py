@@ -12,8 +12,8 @@ coset chasing via linked_coset(), kept separate so tests can cross-validate.
 """
 
 from .errors import LengthMismatch, NotInSHat, RadicalConditionViolated
-from .linalg import (Matrix, Subspace, _kept_units, _particular, _row_dots,
-                     _spread, annihilator, invert_matrix, kernel, vec_add)
+from .linalg import (Matrix, Subspace, _dual_rows, _particular, _row_dots,
+                     annihilator, invert_matrix, kernel, vec_add)
 from .quadform import MetricSpace, QuadraticForm, Radical
 
 
@@ -85,15 +85,28 @@ def adapted_basis(inst):
     rad_c over those.  Row i of the span transform T has the s_basis
     coordinates of canonical row i, so rad_c T has the radical's.  The
     S-basis is then completed to F^n with the standard basis vectors e_k,
-    k in K, at which the canonical rows of its null space ann(S) lead: one
-    m x n echelon, without transform (see linalg.kernel).
+    k in K, at which the canonical rows N of ann(S) lead.
 
-    a^-1 needs no elimination of a.  Its rows dual to the e_k vanish on
-    S and are 1 at k and 0 at the rest of K: they are the canonical rows
-    of ann(S).  Its first m rows vanish at K, so on the other columns P
-    they are the rows of (S_P^-1)^t, with S_P the m x m block of the
-    S-basis at P, invertible because e_K completes the S-basis.  Its one
-    inversion is that of S_P.
+    a^-1 is read off S's canonical rows R and N; nothing of size m is
+    inverted.  Let P be R's pivots and V the m x n matrix whose row i is
+    e_c, c = P[i], minus N's row led by c if c is in K.  Then V R^t = I:
+    (V R^t)[i][j] = R[j][c] - 0 = [i = j], as R is in canonical RREF and
+    N vanishes on S.  And V is 0 at every k in K: a row e_c with c not
+    in K is, and N's row led by c is 1 at c and 0 at the rest of K, as
+    e_c is.  With N R^t = 0 and N 1 at K, [V; N] is the inverse of
+    [R; e_K] (as rows).  When the S-vectors are C R for an invertible
+    m x m C, a = [C R; e_K]^t has inverse [C^-t V; N].
+
+    Radical-first, the S-vectors are s_basis = T^-1 R, so C^-t = T^t and
+    nothing is inverted.  Otherwise C = [rad_c; e_kept], with kept the
+    pivots of the canonical rows H of the null space of rad_c (see
+    linalg._kept_units).  Solving
+    C^t [Y; Z] = V on the d columns J outside kept gives A^t Y = V_J for
+    A = rad_c[:, J], invertible as C is, so Y = A^-t V_J, one d x d
+    inverse.  On kept, Z = V_kept - rad_c[:, kept]^t Y.  H is the
+    identity at kept and rad_c H^t = 0, so H is -(A^-1 rad_c[:, kept])^t
+    at J, and Z = H V needs no subtraction.  An instance that does not
+    hold T computes it here, by one rref of its basis.
 
     A dual form built by dualize carries instead a function that reads
     its basis off its primal's, run here on first use: no elimination.
@@ -105,27 +118,31 @@ def adapted_basis(inst):
     rad = inst.radical()
     F = inst.field
     d, m, n = rad.dim, inst.m, inst.n
+    S, T = inst.subspace, inst._transform()
+    r_hat = annihilator(S)
+    V = _dual_rows(S, r_hat)
     s_vectors = inst._basis
     leading = s_vectors.submatrix(range(d), range(n))
     if rad.subspace._coordinates(leading) is not None:
         coords = Matrix.identity(F, m)
+        top = T.transpose().mul(V)
     else:
-        S = inst.subspace
         rad_c = S._coordinates(rad.subspace.basis)
         assert rad_c is not None  # the radical lies in S
-        kept = _kept_units(rad_c)
-        T = inst._transform()
+        H = kernel(rad_c)
+        kept = H.pivots
+        taken = set(kept)
+        J = [j for j in range(m) if j not in taken]
         s_vectors = rad.subspace.basis._vstack(S.basis.submatrix(kept,
                                                                  range(n)))
         coords = rad_c.mul(T)._vstack(T.submatrix(kept, range(m)))
         coords = coords.transpose()
-    r_hat = kernel(s_vectors)
-    kept = set(r_hat.pivots)
-    P = [j for j in range(n) if j not in kept]
+        Y = invert_matrix(rad_c.submatrix(range(d), J)).transpose().mul(
+            V.submatrix(J, range(n)))
+        top = Y._vstack(H.basis.mul(V))
     a = s_vectors._vstack(Matrix._units(F, r_hat.pivots, n)).transpose()
-    s_inv = invert_matrix(s_vectors.submatrix(range(m), P))
-    a_inv = _spread(s_inv.transpose(), P, n)._vstack(r_hat.basis)
-    inst._adapted = AdaptedBasis(a, a_inv, coords, r_hat, d, m, n)
+    inst._adapted = AdaptedBasis(a, top._vstack(r_hat.basis), coords,
+                                 r_hat, d, m, n)
     return inst._adapted
 
 

@@ -697,24 +697,43 @@ def solve(M, b):
 
 
 def annihilator(T):
-    """Linear forms (dual coordinate rows) vanishing on T."""
-    return kernel(T.basis)
+    """Linear forms (dual coordinate rows) vanishing on T, by one echelon
+    without transform of min(dim, n - dim) rows: kernel's reverse echelon
+    of T's canonical rows when dim <= n/2, else the echelon of the n - dim
+    null rows of those rows (see _null_rows), which span the same space.
+    Both give its canonical rows; at dim = n there are none to reduce."""
+    n, dim = T.ambient_dim, T.dim
+    if 2 * dim <= n:
+        return kernel(T.basis)
+    taken = set(T.pivots)
+    free = [f for f in range(n) if f not in taken]
+    return Subspace._span(_null_rows(T.basis, T.pivots, free))
 
 
-def _spread(M, cols, k):
-    """The k-column matrix whose column cols[j] is column j of M and whose
-    other columns are zero."""
-    F = M.field
+def _dual_rows(S, N):
+    """The dim S x n rows V that vanish at the pivots of
+    N = annihilator(S) and have V R^t = I for S's canonical rows R (see
+    dual.adapted_basis for the proof): row i is e_c, c the pivot of R's
+    row i, minus N's row led by c if there is one.  That row is 1 at c,
+    so the difference is N's row negated with its entry at c cleared."""
+    F, n = S.field, S.ambient_dim
     p = F.characteristic()
-    rows = []
-    for row in M.data if p else M._ints()[0]:
-        v = [0] * k
-        for c, x in zip(cols, row):
-            v[c] = x
-        rows.append(v)
+    rows, dens = (N.basis.data, [1] * N.dim) if p else N.basis._ints()
+    led = dict(zip(N.pivots, zip(rows, dens)))
+    out, out_dens = [], []
+    for c in S.pivots:
+        if c in led:
+            row, d = led[c]
+            v = [-x % p for x in row] if p else [-x for x in row]
+            v[c] = 0
+        else:
+            v, d = [0] * n, 1
+            v[c] = 1
+        out.append(v)
+        out_dens.append(d)
     if p:
-        return Matrix._trusted(F, rows, k)
-    return Matrix._cleared(F, rows, M._ints()[1], k)
+        return Matrix._trusted(F, out, n)
+    return Matrix._cleared(F, out, out_dens, n)
 
 
 def _kept_units(M):

@@ -9,7 +9,7 @@ from dualform import (LengthMismatch, LinearMap, Matrix, MetricSpace,
                       RadicalConditionViolated, Subspace, adapted_basis,
                       b_linked, converse_relation_check, double_dual_check,
                       dualize, linked_coset, linked_forms, theorem_psi_check)
-from dualform import fields, linalg
+from dualform import dual, fields, linalg
 from dualform.cli import parse_problem
 from dualform.linalg import dot, vec_add, vec_scale
 from helpers import (ALL_FIELDS, F2, F3, F5, FQ, hyperbolic_gf2, paper5,
@@ -322,21 +322,24 @@ def _gf3_not_radical_first():
     return _radical_last(F3, 24, 18, 3)
 
 
-@pytest.mark.parametrize("fixture, first, again", [("paper5.json", 6, 2),
-                                                  ("hyp_gf2.json", 5, 2),
+@pytest.mark.parametrize("fixture, first, again", [("paper5.json", 5, 2),
+                                                  ("hyp_gf2.json", 3, 2),
                                                   ("gf3-n24", 7, 2)])
 def test_dualize_elimination_count(monkeypatch, fixture, first, again):
     """Guard against redundant eliminations: rref and the echelon loop it
     shares with the T-free callers are rebound in every dualform module
     that imported them by name, so every elimination is counted once,
     from any module.  A dualize runs the radical's kernel and span, one
-    reverse echelon of the S-basis that completes it and gives ann(S),
-    one of the radical for ann(R), the completion of the radical inside
-    S when it is not first, and two inverses, of the m x m block of the
-    S-basis that gives a^-1 and of the middle Gram block: only these two
-    build a transform, and neither is larger than m x m.  A second
-    dualize reuses the memoized radical and adapted basis: it runs only
-    the inverse of the t x t middle Gram block and the echelon of ann(R)."""
+    echelon of min(m, n - m) rows for ann(S), one for ann(R), and the
+    inverse of the t x t middle Gram block.  a^-1 is read off S's
+    canonical rows and ann(S), so a radical-first instance inverts
+    nothing else; one whose radical is not first adds the completion of
+    the radical inside S and the d x d inverse that gives a^-1's radical
+    rows.  Only the inverses build a transform.  An echelon with no rows
+    to reduce is skipped: hyp_gf2.json has S = F^2 and no radical to
+    span.  A second dualize reuses the memoized radical and adapted
+    basis: it runs only the inverse of the t x t middle Gram block and
+    the echelon of ann(R)."""
     if fixture == "gf3-n24":
         inst = _gf3_not_radical_first()
         rad = inst.radical()
@@ -348,15 +351,61 @@ def test_dualize_elimination_count(monkeypatch, fixture, first, again):
         inst = _parsed(fixture)
     calls = record_calls(monkeypatch, linalg.rref, linalg._echelon)
     dualize(inst)
+    d = inst.radical().dim
+    t = inst.m - d
+    transforms = [("rref", d, d)] if fixture == "gf3-n24" else []
     assert len(calls) == first, calls
-    assert [c[0] for c in calls].count("rref") == 2, calls
-    assert all(max(c[1:]) <= inst.m for c in calls if c[0] == "rref"), calls
+    assert [c for c in calls if c[0] == "rref"] == \
+        transforms + [("rref", t, t)], calls
     assert inst.radical() is inst.radical()
     del calls[:]
     dualize(inst)
-    t = inst.m - inst.radical().dim
     assert len(calls) == again, calls
     assert [c for c in calls if c[0] == "rref"] == [("rref", t, t)], calls
+
+
+def _hyperbolic(F, n, m, d, first):
+    """A seeded S of dim m in F^n whose form is a sum of hyperbolic
+    planes Q(x, y) = xy on t = m - d (even) s_basis vectors, after the
+    first d with first and before the last d otherwise: a radical of
+    dimension exactly d, in every characteristic."""
+    rows = random_subspace_basis(random.Random(n + m), F, n, m)
+    lo = d if first else 0
+    upper = {(i, i + 1): 1 for i in range(lo, lo + m - d, 2)}
+    return MetricSpace(F, n, rows, QuadraticForm(F, [0] * m, upper))
+
+
+@pytest.mark.parametrize("F", [FQ, F2, F3, fields.PrimeField(2**31 - 1)],
+                         ids=repr)
+@pytest.mark.parametrize("n, m, d", [(16, 12, 2), (16, 6, 2), (8, 8, 2)])
+@pytest.mark.parametrize("first", [True, False],
+                         ids=["radical-first", "radical-last"])
+def test_adapted_basis_builds_a_transform_only_for_a_radical_not_first(
+        monkeypatch, F, n, m, d, first):
+    """A radical-first dualize builds one transform, the inverse of the
+    t x t middle Gram block; one whose radical is not first builds two,
+    d x d and t x t.  ann(S), asked by adapted_basis, is one T-free
+    echelon of min(m, n - m) rows, or none when S = F^n."""
+    inst = _hyperbolic(F, n, m, d, first)
+    rad = inst.radical()
+    assert rad.dim == d and inst.radical_condition_holds()
+    assert all(rad.subspace.contains(b) for b in inst.s_basis[:d]) == first
+    calls = record_calls(monkeypatch, linalg.rref, linalg._echelon)
+    asked = []
+
+    def annihilator(T):
+        start = len(calls)
+        out = linalg.annihilator(T)
+        asked.append((T.dim, calls[start:]))
+        return out
+
+    monkeypatch.setattr(dual, "annihilator", annihilator)
+    dualize(inst)
+    t = m - d
+    assert [c for c in calls if c[0] == "rref"] == \
+        ([] if first else [("rref", d, d)]) + [("rref", t, t)], calls
+    assert asked[0] == (m, [("_echelon", min(m, n - m), n)] if m < n
+                        else []), asked
 
 
 @pytest.mark.parametrize("F", [FQ, F3, fields.PrimeField(2**31 - 1)],
@@ -416,10 +465,10 @@ def test_adapted_basis_is_computed_once_per_instance(monkeypatch, make):
     assert forms.representative == linked_forms(fresh, s).representative
 
 
-@pytest.mark.parametrize("fixture, count", [("paper5.json", 8),
-                                            ("hyp_gf2.json", 7)])
+@pytest.mark.parametrize("fixture, count", [("paper5.json", 7),
+                                            ("hyp_gf2.json", 5)])
 def test_double_dual_check_elimination_count(monkeypatch, fixture, count):
-    """double_dual_check runs one dualize of the instance, 6 or 5
+    """double_dual_check runs one dualize of the instance, 5 or 3
     eliminations, and one of its dual, whose adapted basis is read off
     the primal's a and a^-1: only the inverse of the middle Gram block
     and the echelon of ann(R^) are left.  Asking for the instance's

@@ -6,18 +6,20 @@ adjugate of the middle Gram block is its determinant times the dual's
 Gram block, a map in adapted block form is a similarity exactly when its
 transpose is one on the dual, and a reflection is an involution negating
 its vector.  What dualize reads off its own eliminations is what a fresh
-elimination gives: a^-1 a = I, the adapted coordinates are those of a's
-first m columns, R^ = ann(S), the dual's radical and span transform
-are those of the same dual built from its rows, and the dual's adapted
-basis, read off the primal's, meets its contract.  The determinant is
-multiplicative and invariant under transposition for n <= 6."""
+elimination gives: a^-1 a = I, a^-1 is the inverse of a, the adapted
+coordinates are those of a's first m columns, R^ = ann(S), the dual's
+radical and span transform are those of the same dual built from its
+rows, and the dual's adapted basis, read off the primal's, meets its
+contract.  The determinant is multiplicative and invariant under
+transposition for n <= 6."""
 
 import pytest
 
 from dualform import (LinearMap, Matrix, MetricSpace, Subspace, adapted_basis,
                       adjugate, annihilator, b_linked, det,
-                      double_dual_check, dualize, linked_forms, make_field,
-                      reflection, theorem_psi_check)
+                      double_dual_check, dualize, invert_matrix, kernel,
+                      linked_forms, make_field, reflection,
+                      theorem_psi_check)
 from helpers import F2, F3, FQ
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -80,6 +82,44 @@ def test_a_inverse_times_a_is_the_identity(F, data):
     inst = data.draw(instances(F))
     ab = adapted_basis(inst)
     assert ab.a_inv.mul(ab.a) == Matrix.identity(F, inst.n)
+
+
+@FIELDS
+def test_adapted_basis_agrees_with_an_independent_elimination(F):
+    """a a^-1 = I, a^-1 is what inverting a gives, and R^ is the kernel
+    of S's canonical rows by kernel's own reverse echelon.  The drawn
+    instances cover both branches of adapted_basis (radical-first or
+    not) and both routes of annihilator (dim S <= n/2 or not), and
+    dim S = 0, S = F^n, d = 0 and d = m.  With s_basis reversed, a
+    radical of leading zeros is last, on an instance that computes its
+    span transform only when asked."""
+    seen = set()
+
+    @PROPERTY
+    @hypothesis.given(inst=instances(F), flip=st.booleans())
+    def check(inst, flip):
+        m = inst.m
+        if flip:
+            inst = inst.change_of_basis(Matrix(F, [
+                [int(i + j == m - 1) for j in range(m)] for i in range(m)],
+                cols=m))
+        ab = adapted_basis(inst)
+        n, d = inst.n, inst.radical().dim
+        assert ab.a.mul(ab.a_inv) == Matrix.identity(F, n)
+        assert ab.a_inv == invert_matrix(ab.a)
+        assert ab.r_hat == kernel(inst.subspace.basis)
+        rad = inst.radical().subspace
+        seen.add("radical-first" if all(map(rad.contains, inst.s_basis[:d]))
+                 else "radical-not-first")
+        seen.add("dim S > n/2" if 2 * m > n else "dim S <= n/2")
+        seen.update(name for name, hit in [
+            ("dim S = 0", m == 0), ("S = F^n", 0 < m == n),
+            ("d = 0", 0 == d < m), ("d = m", 0 < d == m)] if hit)
+
+    check()
+    assert seen == {"radical-first", "radical-not-first", "dim S > n/2",
+                    "dim S <= n/2", "dim S = 0", "S = F^n", "d = 0",
+                    "d = m"}
 
 
 @FIELDS
