@@ -11,7 +11,7 @@ the middle Gram block in an adapted basis) implemented by dualize(), and
 coset chasing via linked_coset(), kept separate so tests can cross-validate.
 """
 
-from .errors import LengthMismatch, NotInSHat, RadicalConditionViolated
+from .errors import NotInSHat, RadicalConditionViolated
 from .linalg import (Matrix, Subspace, _dual_rows, _particular, _row_dots,
                      annihilator, invert_matrix, kernel, vec_add)
 from .quadform import MetricSpace, QuadraticForm, Radical
@@ -56,10 +56,9 @@ class LinkedCoset:
     def members(self, coeffs):
         """Representative shifted by the given combination of radical rows,
         one coefficient per row; LengthMismatch otherwise."""
-        if len(coeffs) != self.radical.dim:
-            raise LengthMismatch("coefficient count != dim of the radical")
         F = self.radical.field
-        shift = Matrix(F, [coeffs]).mul(self.radical.basis).row(0)
+        shift = Matrix(F, [coeffs], cols=self.radical.dim).mul(
+            self.radical.basis).row(0)
         return vec_add(F, self.representative, shift)
 
 
@@ -100,7 +99,7 @@ def adapted_basis(inst):
     Radical-first, the S-vectors are s_basis = T^-1 R, so C^-t = T^t and
     nothing is inverted.  Otherwise C = [rad_c; e_kept], with kept the
     pivots of the canonical rows H of the null space of rad_c (see
-    linalg._kept_units).  Solving
+    linalg.complete_to_ambient).  Solving
     C^t [Y; Z] = V on the d columns J outside kept gives A^t Y = V_J for
     A = rad_c[:, J], invertible as C is, so Y = A^-t V_J, one d x d
     inverse.  On kept, Z = V_kept - rad_c[:, kept]^t Y.  H is the
@@ -149,9 +148,7 @@ def adapted_basis(inst):
 def _in_s_hat(inst, rad, a_star):
     """The dual vector a_star as a tuple of scalars; NotInSHat unless it
     annihilates the radical rad of inst."""
-    a_star = tuple(map(inst.field.scalar, a_star))
-    if len(a_star) != inst.n:
-        raise LengthMismatch("dual vector length != n")
+    a_star = Matrix(inst.field, [a_star], cols=inst.n).row(0)
     if any(rad.subspace.basis.mul_vec(a_star)):
         raise NotInSHat("form does not annihilate the radical")
     return a_star

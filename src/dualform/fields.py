@@ -5,12 +5,17 @@ Scalars are plain Python values: ``fractions.Fraction`` for the rationals and
 so structural equality of scalars is sound, and a scalar is zero exactly when
 it is falsy.  The Field methods are the scalar API and own the parsing and
 formatting of the textual encoding ("num/den" or "num" for rationals, decimal
-residues for GF(p)).  The matrix and form kernels in ``linalg`` and
-``quadform`` bypass them: they run native ``int``/``Fraction`` operators and,
-over GF(p), reduce modulo ``characteristic()`` once per computed entry.  Over
-the rationals a matrix keeps its rows cleared of denominators, as ``int``
-rows over one denominator each, between elimination, products, transposes
-and submatrices, and builds its ``Fraction`` entries only when one is read.
+residues for GF(p)).  ``scalar`` takes a ``Fraction``, text and, over GF(p),
+an ``int`` directly and any other exact number (an ``int`` over the
+rationals, a ``Decimal``, a ``bool``) by one ``Fraction`` coercion; GF(p)
+reduces a fraction as numerator times inverse denominator.  A ``float``,
+NaN, an infinity or a non-number raises ``ValidationError``.  The matrix
+and form kernels in ``linalg`` and ``quadform`` bypass them: they run native
+``int``/``Fraction`` operators and, over GF(p), reduce modulo
+``characteristic()`` once per computed entry.  Over the rationals a matrix
+keeps its rows cleared of denominators, as ``int`` rows over one
+denominator each, between elimination, products, transposes and
+submatrices, and builds its ``Fraction`` entries only when one is read.
 """
 
 import re
@@ -29,6 +34,17 @@ def _match(grammar, text):
     if not grammar.fullmatch(text):
         raise ValueError(f"{text!r} does not match {grammar.pattern}")
     return text
+
+
+def _exact(x):
+    """scalar's one coercion of a value other than an int, a Fraction or a
+    str; ValidationError unless it is an exact number."""
+    if isinstance(x, float):
+        raise ValidationError(f"inexact float scalar {x!r}")
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"not an exact scalar: {x!r}")
 
 
 def _is_prime(p):
@@ -99,9 +115,7 @@ class RationalField(Field):
             return x
         if isinstance(x, str):
             return self.parse(x)
-        if isinstance(x, float):
-            raise ValidationError(f"inexact float scalar {x!r}")
-        return Fraction(x)
+        return _exact(x)
 
     def add(self, a, b):
         return a + b
@@ -149,14 +163,9 @@ class PrimeField(Field):
             return x % self.p
         if isinstance(x, str):
             return self.parse(x)
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                return self.div(x.numerator % self.p,
-                                self.scalar(x.denominator))
-            x = x.numerator
-        if isinstance(x, float):
-            raise ValidationError(f"inexact float scalar {x!r}")
-        return x % self.p
+        if type(x) is not Fraction:
+            x = _exact(x)
+        return x.numerator * self.inv(x.denominator) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p

@@ -111,12 +111,14 @@ def _reduced(ints, dens):
 class Matrix:
     """Dense matrix over a Field; rows are tuples of canonical scalars.
 
-    ``Matrix(field, data)`` is the public constructor: it coerces every entry
-    through ``field.scalar`` and rejects ragged rows.  ``Matrix._trusted``
-    is the internal one and checks nothing: its caller guarantees rows of
-    length ``cols`` whose entries are already canonical (``Fraction`` over
-    the rationals, ``int`` in [0, p) over GF(p)), as every result computed
-    here from canonical operands is.
+    ``Matrix(field, data, cols)`` is the public constructor and the one
+    width check of outside vectors: it raises ``LengthMismatch`` unless
+    every row has ``cols`` entries (by default, as many as the first row),
+    before it coerces any entry through ``field.scalar``.
+    ``Matrix._trusted`` is the internal one and checks nothing: its caller
+    guarantees rows of length ``cols`` whose entries are already canonical
+    (``Fraction`` over the rationals, ``int`` in [0, p) over GF(p)), as
+    every result computed here from canonical operands is.
 
     Over the rationals a matrix may also hold its rows cleared of
     denominators, ``_q = (ints, dens)``: row i is ints[i] / dens[i], a list
@@ -141,16 +143,16 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "data", "_q")
 
     def __init__(self, field, data, cols=None):
+        data = tuple(data)
+        if cols is None:
+            cols = len(data[0]) if data else 0
+        for row in data:
+            if len(row) != cols:
+                raise LengthMismatch(f"matrix row length != {cols}")
         self.field = field
-        self.data = tuple(tuple(field.scalar(x) for x in row) for row in data)
+        self.data = tuple(tuple(map(field.scalar, row)) for row in data)
         self.rows = len(self.data)
-        if self.data:
-            self.cols = len(self.data[0])
-        else:
-            self.cols = 0 if cols is None else cols
-        for row in self.data:
-            if len(row) != self.cols:
-                raise LengthMismatch("ragged matrix rows")
+        self.cols = cols
         self._q = None
 
     @classmethod
@@ -276,8 +278,6 @@ class Matrix:
             for row in self.data], m)
 
     def mul_vec(self, v):
-        if len(v) != self.cols:
-            raise LengthMismatch("matrix-vector shape mismatch")
         column = Matrix._trusted(self.field, [[x] for x in v], 1)
         return self.mul(column).column(0)
 
@@ -555,10 +555,7 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, field, ambient_dim, rows):
-        M = Matrix(field, rows, cols=ambient_dim)
-        if M.cols != ambient_dim:
-            raise LengthMismatch("row length != ambient dimension")
-        return cls._span(M)
+        return cls._span(Matrix(field, rows, cols=ambient_dim))
 
     @classmethod
     def _span(cls, M):
@@ -583,10 +580,8 @@ class Subspace:
 
     def coordinates(self, vec):
         """Coefficients of vec over the stored basis rows, or None."""
-        n = self.ambient_dim
-        if len(vec) != n:
-            raise LengthMismatch("vector length != ambient dimension")
-        P = self._coordinates(Matrix(self.field, [vec], cols=n))
+        P = self._coordinates(Matrix(self.field, [vec],
+                                     cols=self.ambient_dim))
         return None if P is None else P.row(0)
 
     def _coordinates(self, V):
@@ -736,13 +731,31 @@ def _dual_rows(S, N):
     return Matrix._cleared(F, out, out_dens, n)
 
 
-def _kept_units(M):
-    """Indices i, in order, of the unit vectors e_i of F^k that greedy
-    completion of the independent rows of M (k columns) keeps: e_i, taken
-    in index order, is kept when it lies outside the span of the vectors
-    before it.
+def extend_basis(inner, outer):
+    """Ordered basis of outer starting with inner's stored basis rows.
 
-    They are the pivots of the null space of M, the i that are not
+    Completion appends outer's canonical basis rows in order, keeping each
+    one that increases the rank.  Over outer's rows, inner's rows have as
+    coordinates their entries at outer's pivots, so this is the completion
+    of those d x dim(outer) coordinate rows with unit vectors (see
+    complete_to_ambient).
+    """
+    if inner.ambient_dim != outer.ambient_dim or inner.field != outer.field:
+        raise NotNested("subspaces live in different ambient spaces")
+    coords = outer._coordinates(inner.basis)
+    if coords is None:
+        raise NotNested("inner is not contained in outer")
+    return list(inner.basis._vstack(outer.basis.submatrix(
+        kernel(coords).pivots, range(outer.ambient_dim))).data)
+
+
+def complete_to_ambient(M):
+    """The independent rows of M followed by the standard basis vectors,
+    in index order, that greedy completion to a basis of F^k, k = M.cols,
+    keeps: e_i, taken in index order, is kept when it lies outside the
+    span of the vectors before it.
+
+    The kept i are the pivots of the null space of M, the i that are not
     pivots of the rows' echelon form with the columns read from the last
     one (see kernel).  Proof: a skipped e_j lies in the span before
     it, so the span before e_i is P + <e_0, ..., e_(i-1)>, with P the
@@ -753,27 +766,4 @@ def _kept_units(M):
     Read from column k-1 down, these two ranks count the pivots up to and
     before column i, so e_i is skipped exactly when i is a pivot.
     """
-    return kernel(M).pivots
-
-
-def extend_basis(inner, outer):
-    """Ordered basis of outer starting with inner's stored basis rows.
-
-    Completion appends outer's canonical basis rows in order, keeping each
-    one that increases the rank.  Over outer's rows, inner's rows have as
-    coordinates their entries at outer's pivots, so this is the completion
-    of those d x dim(outer) coordinate rows with unit vectors.
-    """
-    if inner.ambient_dim != outer.ambient_dim or inner.field != outer.field:
-        raise NotNested("subspaces live in different ambient spaces")
-    coords = outer._coordinates(inner.basis)
-    if coords is None:
-        raise NotNested("inner is not contained in outer")
-    return list(inner.basis._vstack(outer.basis.submatrix(
-        _kept_units(coords), range(outer.ambient_dim))).data)
-
-
-def complete_to_ambient(M):
-    """The independent rows of M followed by the standard basis vectors,
-    in index order, that greedy completion to a basis of F^cols keeps."""
-    return M._vstack(Matrix._units(M.field, _kept_units(M), M.cols))
+    return M._vstack(Matrix._units(M.field, kernel(M).pivots, M.cols))

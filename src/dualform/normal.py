@@ -15,7 +15,8 @@ form costs O(m^3); its transform T is C transposed.  The radical prefix is
 never touched, so the result's first d basis vectors span the radical.
 """
 
-from .errors import CharTwo, NotCharTwo, RadicalConditionViolated
+from .dual import _check_radical_condition
+from .errors import CharTwo, NotCharTwo
 from .linalg import Matrix, _canon, complete_to_ambient
 
 DIAGONAL = "diagonal"
@@ -82,9 +83,7 @@ def char2_normal_form(inst):
     """Minor-diagonal alternating normal form (characteristic 2)."""
     if inst.field.characteristic() != 2:
         raise NotCharTwo("this normal form requires characteristic 2")
-    if not inst.radical_condition_holds():
-        raise RadicalConditionViolated(
-            "form does not vanish on the radical")
+    _check_radical_condition(inst)
     a, d = _gram_array(inst)
     remaining = list(range(d, inst.m))
     us, vs = [], []

@@ -119,8 +119,6 @@ class MetricSpace:
         self.field = field
         self.n = n
         self._basis = Matrix(field, s_basis, cols=n)
-        if self._basis.cols != n:
-            raise LengthMismatch("basis vector length != n")
         R, self._span_t, pivots = rref(self._basis)
         self.subspace = Subspace(field, n,
                                  R.submatrix(range(len(pivots)), range(n)))
@@ -172,10 +170,7 @@ class MetricSpace:
         transform T, so v's coordinates are T^t (v[p_i])_i.  Recombining the
         canonical rows tests membership.
         """
-        n = self.n
-        if any(len(v) != n for v in vectors):
-            raise LengthMismatch("vector length != n")
-        return self._coords(Matrix(self.field, vectors, cols=n))
+        return self._coords(Matrix(self.field, vectors, cols=self.n))
 
     def _coords(self, V):
         """coords_matrix for the rows of the k x n Matrix V."""
@@ -197,12 +192,8 @@ class MetricSpace:
 
     def from_coords(self, coords):
         """Ambient vector with the given s_basis coordinates."""
-        m = self.m
-        if len(coords) != m:
-            raise LengthMismatch("coordinate length != m")
-        F = self.field
-        row = Matrix._trusted(F, [[F.scalar(c) for c in coords]], m)
-        return row.mul(self._basis).row(0)
+        return Matrix(self.field, [coords], cols=self.m).mul(
+            self._basis).row(0)
 
     def eval_q(self, coords):
         """Value of the form at the given s_basis coordinates."""
@@ -218,8 +209,7 @@ class MetricSpace:
         """Polar form B(x, y) = Q(x + y) - Q(x) - Q(y) on coordinates."""
         F = self.field
         s = vec_add(F, [F.scalar(u) for u in x], [F.scalar(v) for v in y])
-        if len(s) != self.m:
-            raise LengthMismatch("coordinate length != m")
+        # eval_q checks the length of s, x and y
         return F.scalar(self.eval_q(s) - self.eval_q(x) - self.eval_q(y))
 
     def polar_gram(self):

@@ -41,7 +41,7 @@ class LinearMap:
         return self.matrix.mul_vec(vec)
 
     def compose(self, other):
-        return LinearMap(self.matrix.mul(other.matrix))
+        return LinearMap._trusted(self.matrix.mul(other.matrix))
 
     def __eq__(self, other):
         return isinstance(other, LinearMap) and self.matrix == other.matrix
@@ -138,8 +138,8 @@ def reflection(inst, s):
     """
     F = inst.field
     _check_radical_condition(inst)
-    s = tuple(F.scalar(x) for x in s)
-    coords = inst.coords_of(s)
+    V = Matrix(F, [s], cols=inst.n)
+    s, coords = V.row(0), inst._coords(V).column(0)
     qs = inst.eval_q(coords)
     if F.is_zero(qs):
         raise IsotropicVector("reflection needs Q(s) != 0")

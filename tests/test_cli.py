@@ -240,11 +240,19 @@ def _paper5_doc(**changes):
                      "S": [["1", "0"], ["0", "1"]],
                      "Q": {"diag": ["1", "-2"],
                            "upper": [[0, 1, "1"], [0, 1, "5"]]}}),
+    (["radical"], _paper5_doc(S="e1")),
+    (["radical"], _paper5_doc(S=[["1", "0", "0", "0", "0"], ["0", "1"]])),
+    (["radical"], _paper5_doc(Q={"diag": ["0", "1/2"]})),
+    (["radical"], _paper5_doc(Q={"diag": ["0", "1/2", "3/2"],
+                                 "upper": [[1, 2]]})),
+    (["similarity", "--map", fx("paper5.json")], _paper5_doc()),
+    (["adjugate"], {"field": "rational", "M": "1"}),
 ], ids=["p-string", "kind-int", "upper-int", "adjugate-list",
         "half-gram-list", "M-flat", "n-bool", "exponent-scalar",
         "exponent-ratio", "decimal-scalar", "exponent-vector",
         "residue-underscore", "digits-result", "digits-result-in-limit",
-        "upper-duplicate"])
+        "upper-duplicate", "S-not-list", "S-row-width", "diag-count",
+        "upper-shape", "map-without-P", "M-not-list"])
 def test_malformed_input_is_an_error_line(capsys, tmp_path, argv, doc):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
@@ -252,6 +260,17 @@ def test_malformed_input_is_an_error_line(capsys, tmp_path, argv, doc):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
+def test_singular_map_is_an_error_line(capsys, tmp_path):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"P": [["1" if i == j < 4 else "0"
+                                       for j in range(5)]
+                                      for i in range(5)]}))
+    code, out, err = run_cli(capsys, "similarity", fx("paper5.json"),
+                             "--map", str(path))
+    assert (code, out, err) == (1, "", "error: P is singular\n")
 
 
 @pytest.mark.parametrize("source", ["file", "stdin", "map"])

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -147,13 +148,38 @@ def test_parse_enforces_the_wire_grammar(field, text):
     assert field.parse(" -12 ") == field.scalar(-12)
 
 
-@pytest.mark.parametrize("field, x", [(make_field("rational"), 0.1),
-                                      (make_field("prime", 7), 1.5),
-                                      (make_field("prime", 7), 2.0)])
+@pytest.mark.parametrize("field, x", [
+    (make_field("rational"), 0.1),
+    (make_field("prime", 7), 1.5),
+    (make_field("prime", 7), 2.0),
+    *[(F, x) for F in (make_field("rational"), make_field("prime", 7))
+      for x in (Decimal("NaN"), Decimal("-Infinity"), None, 1 + 2j)],
+])
 def test_scalar_refuses_floats(field, x):
-    """A float is not exact: scalar raises, and so does a matrix of one,
-    before any elimination."""
+    """A float is not exact, and NaN, an infinity or a value that is not a
+    number is no scalar: scalar raises, and so does a matrix of one, before
+    any elimination."""
     with pytest.raises(ValidationError):
         field.scalar(x)
     with pytest.raises(ValidationError):
         rank(Matrix(field, [[x, 2], [3, 4]]))
+
+
+@pytest.mark.parametrize("field, x, want", [
+    (make_field("rational"), Decimal("1.5"), Fraction(3, 2)),
+    (make_field("prime", 7), Decimal("1.5"), 5),
+    (make_field("prime", 7), Fraction(1, 2), 4),
+])
+def test_scalar_reads_any_exact_number_canonically(field, x, want):
+    """A Decimal enters by one Fraction coercion and GF(p) reduces a
+    Fraction as numerator times inverse denominator, so a matrix of either
+    holds canonical entries and eliminates."""
+    got = field.scalar(x)
+    assert got == want and type(got) is type(want)
+    assert rank(Matrix(field, [[x, 1], [1, 1]])) == \
+        rank(Matrix(field, [[want, 1], [1, 1]]))
+
+
+def test_scalar_refuses_a_denominator_divisible_by_p():
+    with pytest.raises(DivisionByZero):
+        make_field("prime", 7).scalar(Fraction(1, 14))

@@ -4,15 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from dualform import (Matrix, NotNested, Singular, Subspace, adjugate,
-                      annihilator, det, extend_basis, invert_matrix, kernel,
-                      make_field, rank, rref, solve)
+from dualform import (LengthMismatch, Matrix, MetricSpace, NotNested,
+                      QuadraticForm, Singular, Subspace, adjugate,
+                      annihilator, b_linked, det, extend_basis,
+                      invert_matrix, kernel, linked_coset, make_field, rank,
+                      rref, solve)
 from dualform import cli, fields, linalg
 from dualform.linalg import (_echelon, _fold, _slot, _slots,
                              complete_to_ambient)
 from helpers import (FQ, F2, F3, F5, echelon_gfp_reference, matrix_of_rank,
-                     mul_gfp_reference, random_subspace_basis, random_vector,
-                     record_calls, wide_rational_matrix, wide_shapes)
+                     mul_gfp_reference, paper5, random_subspace_basis,
+                     random_vector, record_calls, wide_rational_matrix,
+                     wide_shapes)
 
 GF_WORD = make_field("prime", 2**31 - 1)
 
@@ -564,3 +567,34 @@ def test_equality_and_hash_see_the_shape(F):
         assert hash(a) != hash(b)
     a, b = Matrix.zeros(F, 0, 4), Matrix.identity(F, 4).submatrix([], range(4))
     assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: MetricSpace(FQ, 3, [[1, 0]], QuadraticForm(FQ, [1])),
+    lambda: paper5().coords_matrix([(0, 1, 0, 0)]),
+    lambda: paper5().coords_of((0, 1, 0, 0, 0, 0)),
+    lambda: paper5().from_coords((1, 2)),
+    lambda: paper5().eval_b((1, 0), (0, 1)),
+    lambda: Subspace.from_rows(F3, 3, [[1, 0], [0, 1]]),
+    lambda: Subspace.from_rows(FQ, 3, [[1, 0]]).coordinates((1, 0)),
+    lambda: Matrix(F3, [[1, 2], [2, 1]]).mul_vec((1, 2, 0)),
+    lambda: b_linked(paper5(), (0, 1, 0, 0), (0, 1, 0, 0, 0)),
+    lambda: linked_coset(paper5(), (0, 1, 0, 0, 0, 0)),
+    lambda: linked_coset(paper5(), (0, 1, 0, 0, 0)).members([1, 2]),
+    lambda: Matrix(FQ, [[1, 2]], cols=3),
+    lambda: Matrix(F2, [[1, 2], [1]]),
+    lambda: paper5().coords_of(("x", 0)),
+    lambda: paper5().from_coords((0.5,)),
+    lambda: linked_coset(paper5(), (0, 1, 0, 0, 0)).members(["x", None]),
+], ids=["metric-space-basis", "coords-matrix", "coords-of", "from-coords",
+        "eval-b", "from-rows", "coordinates", "mul-vec", "b-linked",
+        "linked-coset", "members", "matrix-cols", "matrix-ragged",
+        "coords-of-bad-text", "from-coords-float", "members-bad-scalars"])
+def test_a_wrong_width_input_is_refused(call):
+    """Every vector or coefficient list from outside has its width checked
+    where it enters: by the Matrix it is read into, or by the product or
+    eval_q call it first feeds.  The width is checked before any entry is
+    coerced, so a wrong-width input with bad entries is a LengthMismatch
+    too."""
+    with pytest.raises(LengthMismatch):
+        call()

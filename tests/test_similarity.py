@@ -5,9 +5,10 @@ import pytest
 
 from dualform import (IsotropicVector, LinearMap, Matrix, MetricSpace,
                       QuadraticForm, RadicalConditionViolated, Singular,
-                      Subspace, ZeroRatio, annihilator, dualize,
-                      invert_matrix, reflection, theorem_psi_check,
+                      Subspace, ZeroRatio, annihilator, char2_normal_form,
+                      dualize, invert_matrix, reflection, theorem_psi_check,
                       transpose_map, verify_similarity)
+from dualform import similarity
 from dualform.linalg import dot
 from helpers import (ALL_FIELDS, F2, F3, FQ, hyperbolic_gf2, paper5,
                      rad_char2, random_instance_with_condition, random_scalar,
@@ -42,9 +43,16 @@ class TestLinearMap:
         with pytest.raises(Singular):
             LinearMap(Matrix(FQ, [[1, 1], [1, 1]]))
 
-    def test_compose(self):
+    def test_compose(self, monkeypatch):
+        """The product of two checked maps is invertible: composing runs
+        no elimination."""
         a = LinearMap(Matrix(FQ, [[0, 1], [1, 0]]))
         b = LinearMap(Matrix(FQ, [[1, 1], [0, 1]]))
+
+        def no_rank(M):
+            raise AssertionError("compose ran an elimination")
+
+        monkeypatch.setattr(similarity, "rank", no_rank)
         assert a.compose(b).matrix == Matrix(FQ, [[0, 1], [1, 1]])
 
     def test_transpose_functorial(self):
@@ -289,7 +297,7 @@ def test_theorem_psi_check_asks_the_radical_condition_once(monkeypatch):
     """theorem_psi_check leaves the radical condition to the dualize of
     its shared dual, so on a fresh GF(2) instance, where each test forms
     R A, it is asked once, and a violation reads the same from
-    theorem_psi_check, reflection and dualize."""
+    theorem_psi_check, reflection, dualize and char2_normal_form."""
     asked = []
     raw = MetricSpace.radical_condition_holds
 
@@ -305,7 +313,7 @@ def test_theorem_psi_check_asks_the_radical_condition_once(monkeypatch):
     assert theorem_psi_check(inst, psi, 1).dual_ok is True
     assert asked == [inst]
     messages = set()
-    for check in (dualize,
+    for check in (dualize, char2_normal_form,
                   lambda i: theorem_psi_check(i, psi, 1),
                   lambda i: reflection(i, (0, 1, 0))):
         with pytest.raises(RadicalConditionViolated) as exc:
