@@ -76,15 +76,19 @@ class DualFormResult:
 
 def adapted_basis(inst):
     """Deterministic adapted basis for an instance, computed once and
-    memoized on it: the instance's shared basis, which must not be mutated.
+    shared by every caller, so it must not be mutated."""
+    return inst._fact("_adapted", _adapted_basis)
 
-    If the instance's own s_basis is already radical-first it is reused;
-    otherwise the radical's canonical rows are completed inside S with
-    S's canonical rows, by one d x m echelon of the radical's coordinates
-    rad_c over those.  Row i of the span transform T has the s_basis
-    coordinates of canonical row i, so rad_c T has the radical's.  The
-    S-basis is then completed to F^n with the standard basis vectors e_k,
-    k in K, at which the canonical rows N of ann(S) lead.
+
+def _adapted_basis(inst):
+    """adapted_basis, computed.  If the instance's own s_basis is already
+    radical-first it is reused; otherwise the radical's canonical rows
+    are completed inside S with S's canonical rows, by one d x m echelon
+    of the radical's coordinates rad_c over those.  Row i of the span
+    transform T has the s_basis coordinates of canonical row i, so
+    rad_c T has the radical's.  The S-basis is then completed to F^n with
+    the standard basis vectors e_k, k in K, at which the canonical rows N
+    of ann(S) lead.
 
     a^-1 is read off S's canonical rows R and N; nothing of size m is
     inverted.  Let P be R's pivots and V the m x n matrix whose row i is
@@ -106,14 +110,7 @@ def adapted_basis(inst):
     identity at kept and rad_c H^t = 0, so H is -(A^-1 rad_c[:, kept])^t
     at J, and Z = H V needs no subtraction.  An instance that does not
     hold T computes it here, by one rref of its basis.
-
-    A dual form built by dualize carries instead a function that reads
-    its basis off its primal's, run here on first use: no elimination.
     """
-    if callable(inst._adapted):
-        inst._adapted = inst._adapted()
-    if inst._adapted is not None:
-        return inst._adapted
     rad = inst.radical()
     F = inst.field
     d, m, n = rad.dim, inst.m, inst.n
@@ -140,9 +137,7 @@ def adapted_basis(inst):
             V.submatrix(J, range(n)))
         top = Y._vstack(H.basis.mul(V))
     a = s_vectors._vstack(Matrix._units(F, r_hat.pivots, n)).transpose()
-    inst._adapted = AdaptedBasis(a, top._vstack(r_hat.basis), coords,
-                                 r_hat, d, m, n)
-    return inst._adapted
+    return AdaptedBasis(a, top._vstack(r_hat.basis), coords, r_hat, d, m, n)
 
 
 def _in_s_hat(inst, rad, a_star):
@@ -210,13 +205,7 @@ def dualize(inst):
     vanishes on R, the first d columns of a.  Its adapted basis is read
     off a and a^-1 when first asked (see _dual_adapted).
 
-    Each call builds a new result, which its caller owns: dualize neither
-    reads nor fills the dual that theorem_psi_check, double_dual_check
-    and converse_relation_check share (see _shared_dual).  So a second
-    dualize of one instance runs the inverse of g22 and the echelon of
-    ann(R) again, as the benchmark's own test
-    test_rebinding_reaches_calls_made_inside_dual requires: it asserts
-    that such a call does field arithmetic.
+    Each call builds a new result, which its caller owns.
     """
     _check_radical_condition(inst)
     F = inst.field
@@ -264,19 +253,9 @@ def _dual_adapted(ab, rad):
     return AdaptedBasis(a, a_inv, coords, rad, n - m, n - d, n)
 
 
-def _shared_dual(inst):
-    """dualize(inst), computed on first use and memoized on inst for the
-    composite checks; the result is shared, so it must not be mutated.
-    It references the instance's adapted basis and radical but not the
-    instance, so memoizing it makes no reference cycle."""
-    if inst._dual is None:
-        inst._dual = dualize(inst)
-    return inst._dual
-
-
 def double_dual_check(inst):
     """Dualize twice and compare with the original coefficients exactly."""
-    first = _shared_dual(inst)
+    first = inst._fact("_dual", dualize)
     second = dualize(first.dual)
     back = second.dual
     if back.subspace != inst.subspace:
@@ -293,7 +272,7 @@ def converse_relation_check(inst, pairs):
     dual-side verdict for (x, a*) under the identification of the double
     dual with F^n.
     """
-    dres = _shared_dual(inst)
+    dres = inst._fact("_dual", dualize)
     for a_star, x in pairs:
         primal = b_linked(inst, a_star, x)
         dual = b_linked(dres.dual, x, a_star)

@@ -9,7 +9,7 @@ class NotPrime(AlgebraError):
     pass
 
 
-class DivisionByZero(AlgebraError):
+class DivisionByZero(AlgebraError, ZeroDivisionError):
     pass
 
 
@@ -53,7 +53,7 @@ class IsotropicVector(AlgebraError):
     pass
 
 
-class ParseError(AlgebraError):
+class ParseError(AlgebraError, ValueError):
     pass
 
 

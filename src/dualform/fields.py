@@ -9,7 +9,9 @@ residues for GF(p)).  ``scalar`` takes a ``Fraction``, text and, over GF(p),
 an ``int`` directly and any other exact number (an ``int`` over the
 rationals, a ``Decimal``, a ``bool``) by one ``Fraction`` coercion; GF(p)
 reduces a fraction as numerator times inverse denominator.  A ``float``,
-NaN, an infinity or a non-number raises ``ValidationError``.  The matrix
+NaN, an infinity or a non-number raises ``ValidationError``, text outside
+the grammar ``ParseError`` (also a ``ValueError``) and a zero denominator
+``DivisionByZero`` (also a ``ZeroDivisionError``).  The matrix
 and form kernels in ``linalg`` and ``quadform`` bypass them: they run native
 ``int``/``Fraction`` operators and, over GF(p), reduce modulo
 ``characteristic()`` once per computed entry.  Over the rationals a matrix
@@ -21,7 +23,8 @@ submatrices, and builds its ``Fraction`` entries only when one is read.
 import re
 from fractions import Fraction
 
-from .errors import CharTwo, DivisionByZero, NotPrime, ValidationError
+from .errors import (CharTwo, DivisionByZero, NotPrime, ParseError,
+                     ValidationError)
 
 PRIME_BOUND = 2**31
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -32,7 +35,7 @@ _MR_BASES = (2, 3, 5, 7)
 def _match(grammar, text):
     text = text.strip()
     if not grammar.fullmatch(text):
-        raise ValueError(f"{text!r} does not match {grammar.pattern}")
+        raise ParseError(f"{text!r} does not match {grammar.pattern}")
     return text
 
 
@@ -133,6 +136,8 @@ class RationalField(Field):
 
     def parse(self, text):
         num, _, den = _match(_RATIONAL, text).partition("/")
+        if den and not int(den):
+            raise DivisionByZero(f"zero denominator in {text.strip()!r}")
         return Fraction(int(num), int(den or "1"))
 
     def __eq__(self, other):

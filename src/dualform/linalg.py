@@ -114,7 +114,8 @@ class Matrix:
     ``Matrix(field, data, cols)`` is the public constructor and the one
     width check of outside vectors: it raises ``LengthMismatch`` unless
     every row has ``cols`` entries (by default, as many as the first row),
-    before it coerces any entry through ``field.scalar``.
+    before it coerces any entry through ``field.scalar``, and ``mul``
+    raises it for a product of matrices over different fields.
     ``Matrix._trusted`` is the internal one and checks nothing: its caller
     guarantees rows of length ``cols`` whose entries are already canonical
     (``Fraction`` over the rationals, ``int`` in [0, p) over GF(p)), as
@@ -258,6 +259,8 @@ class Matrix:
         if self.cols != other.rows:
             raise LengthMismatch("matrix product shape mismatch")
         F, m = self.field, other.cols
+        if F is not other.field and F != other.field:
+            raise LengthMismatch("matrix product over different fields")
         p = F.characteristic()
         if not p:
             (a, da), (b, db) = self._ints(), other._ints()

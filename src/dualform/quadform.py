@@ -98,18 +98,18 @@ class MetricSpace:
     rref, coordinates, change of basis, the radical) shares them.
 
     An instance is immutable, so mutating s_basis or form after
-    construction is unsupported.  It memoizes four derived facts: its
-    radical, computed on first use; the span transform T of the rref of
-    the s_basis rows, whose row i holds the s_basis coordinates of the
-    i-th canonical row of S; its adapted basis, filled in by
-    dual.adapted_basis on first use; and its dual, which dual's composite
-    checks fill in on first use and share (this module does not import
-    dual).  The constructor keeps T from the rref that builds the
-    subspace.  An instance built internally (_trusted) is given its
-    subspace, and a dual form also its radical and functions computing
-    its T on its first coordinate question and its adapted basis on
-    first use, all read off dualize's own results; otherwise those
-    questions run eliminations.
+    construction is unsupported.  Four facts derived from it are read
+    through _fact(slot, compute): _radical; _span_t, the transform T of
+    the rref of the s_basis rows, whose row i holds the s_basis
+    coordinates of canonical row i of S; _adapted, dual.adapted_basis;
+    and _dual, the dualize result shared by dual's composite checks.  A
+    slot holds its fact, or None, computed by compute(self), or a
+    function computing it; either way _fact computes the fact once and
+    keeps it.  No fact refers to its instance, so keeping one makes no
+    reference cycle.  The constructor keeps T from the rref that builds the
+    subspace.  A dual form built by dualize (_trusted) is given its
+    radical and functions computing its T and adapted basis from
+    dualize's own results.
     """
 
     __slots__ = ("field", "n", "subspace", "_basis", "form", "_span_t",
@@ -129,9 +129,7 @@ class MetricSpace:
         if form.field != field:
             raise LengthMismatch("form defined over a different field")
         self.form = form
-        self._radical = None
-        self._adapted = None
-        self._dual = None
+        self._radical = self._adapted = self._dual = None
 
     @classmethod
     def _trusted(cls, field, n, basis, form, subspace, span_t=None,
@@ -179,16 +177,19 @@ class MetricSpace:
             raise NotInSubspace("vector outside S")
         return P.mul(self._transform()).transpose()
 
+    def _fact(self, slot, compute):
+        """The fact held in slot, computed once (see the class docstring).
+        Callers pass compute by its module-global name, so a rebinding of
+        that name is seen."""
+        value = getattr(self, slot)
+        if value is None or callable(value):
+            value = compute(self) if value is None else value()
+            setattr(self, slot, value)
+        return value
+
     def _transform(self):
-        """The span transform T, memoized: given, computed by the
-        function given instead, or by one rref of the basis."""
-        T = self._span_t
-        if T is None:
-            T = rref(self._basis)[1]
-        elif callable(T):
-            T = T()
-        self._span_t = T
-        return T
+        """The span transform T."""
+        return self._fact("_span_t", _span_transform)
 
     def from_coords(self, coords):
         """Ambient vector with the given s_basis coordinates."""
@@ -197,20 +198,21 @@ class MetricSpace:
 
     def eval_q(self, coords):
         """Value of the form at the given s_basis coordinates."""
-        F = self.field
         if len(coords) != self.m:
             raise LengthMismatch("coordinate length != m")
-        c = [F.scalar(x) for x in coords]
+        return self._q_at([self.field.scalar(x) for x in coords])
+
+    def _q_at(self, c):
+        """eval_q at canonical coordinates c, by the coefficient loop."""
         acc = sum(g * c[i] * c[i] for i, g in enumerate(self.form.diag))
         acc += sum(g * c[i] * c[j] for (i, j), g in self.form.upper.items())
-        return F.scalar(acc)
+        return self.field.scalar(acc)
 
     def eval_b(self, x, y):
         """Polar form B(x, y) = Q(x + y) - Q(x) - Q(y) on coordinates."""
-        F = self.field
-        s = vec_add(F, [F.scalar(u) for u in x], [F.scalar(v) for v in y])
-        # eval_q checks the length of s, x and y
-        return F.scalar(self.eval_q(s) - self.eval_q(x) - self.eval_q(y))
+        F, q = self.field, self._q_at
+        x, y = Matrix(F, [x, y], cols=self.m).data
+        return F.scalar(q(vec_add(F, x, y)) - q(x) - q(y))
 
     def polar_gram(self):
         """The form's polar_gram, on s_basis."""
@@ -218,11 +220,7 @@ class MetricSpace:
 
     def radical(self):
         """Radical of the polar form, in ambient and in s_basis coordinates."""
-        if self._radical is None:
-            in_domain = kernel(self.polar_gram())
-            ambient = Subspace._span(in_domain.basis.mul(self._basis))
-            self._radical = Radical(ambient, in_domain)
-        return self._radical
+        return self._fact("_radical", _radical_of)
 
     def radical_condition_holds(self):
         """Whether the form vanishes on the nonzero radical vectors.
@@ -277,3 +275,12 @@ class MetricSpace:
         return (f"MetricSpace(n={self.n}, m={self.m}, "
                 f"s_basis={[list(b) for b in self.s_basis]}, "
                 f"form={self.form!r})")
+
+
+def _span_transform(inst):
+    return rref(inst._basis)[1]
+
+
+def _radical_of(inst):
+    in_domain = kernel(inst.polar_gram())
+    return Radical(Subspace._span(in_domain.basis.mul(inst._basis)), in_domain)

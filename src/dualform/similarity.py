@@ -6,7 +6,7 @@ transpose acts on dual coordinate rows; with the standard pairing this is
 the plain matrix transpose.
 """
 
-from .dual import _check_radical_condition, _shared_dual, linked_forms
+from .dual import _check_radical_condition, dualize, linked_forms
 from .errors import (IsotropicVector, LengthMismatch, NotInSubspace,
                      Singular, ZeroRatio)
 from .linalg import Matrix, _canon, rank
@@ -113,10 +113,11 @@ def theorem_psi_check(inst, psi, c):
     c = F.scalar(c)
     if F.is_zero(c):
         raise ZeroRatio("similarity ratio must be nonzero")
-    dres = _shared_dual(inst)
+    dres = inst._fact("_dual", dualize)
     images = _image_coords(inst, psi)
     primal = _scales_form(inst, images, c)
-    dual = verify_similarity(dres.dual, transpose_map(psi), c)
+    dual_images = _image_coords(dres.dual, transpose_map(psi))
+    dual = _scales_form(dres.dual, dual_images, c)
     ab = dres.adapted
     p_ad = ab.a_inv.mul(psi.matrix).mul(ab.a)
     ranges = {1: ab.i1, 2: ab.i2, 3: ab.i3}

@@ -1,5 +1,5 @@
 """Shared builders for the test suite: the worked examples, seeded
-random instance and matrix generators, and a call recorder."""
+random instance and matrix generators, and call and parse recorders."""
 
 import operator
 import sys
@@ -199,6 +199,20 @@ def record_calls(monkeypatch, *raws):
                     if value is raw:
                         monkeypatch.setattr(mod, attr, wrapper)
     return calls
+
+
+def record_parses(monkeypatch, field):
+    """Wrap field.parse on the field object; returns the list that
+    receives each text it parses."""
+    parsed = []
+    raw = field.parse
+
+    def parse(text):
+        parsed.append(text)
+        return raw(text)
+
+    monkeypatch.setattr(field, "parse", parse)
+    return parsed
 
 
 def _radical_first_transform(inst):

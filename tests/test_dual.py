@@ -479,6 +479,25 @@ def test_double_dual_check_elimination_count(monkeypatch, fixture, count):
     assert len(calls) == count, calls
 
 
+@pytest.mark.parametrize("fixture", ["paper5.json", "hyp_gf2.json"])
+def test_composite_checks_share_one_dual(monkeypatch, fixture):
+    """double_dual_check, converse_relation_check and theorem_psi_check
+    share the instance's one dual: after double_dual_check the other two
+    run no elimination, and their verdicts hold."""
+    inst = _parsed(fixture)
+    F, n = inst.field, inst.n
+    s_hat = dualize(_parsed(fixture)).s_hat
+    pairs = [(s_hat.basis.row(i), x)
+             for i in range(s_hat.dim) for x in inst.s_basis]
+    psi = LinearMap(Matrix.identity(F, n))
+    assert double_dual_check(inst) is True
+    calls = record_calls(monkeypatch, linalg.rref, linalg._echelon)
+    assert converse_relation_check(inst, pairs) is True
+    report = theorem_psi_check(inst, psi, 1)
+    assert calls == []
+    assert pairs and report.primal_ok and report.dual_ok
+
+
 def test_the_dual_adapted_basis_keeps_r_hat_canonical(monkeypatch):
     """The dual's adapted basis costs no elimination, and its R^, which
     is ann(S^) = R, is R's canonical basis, not the radical column of a:

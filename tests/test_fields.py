@@ -5,9 +5,9 @@ from math import gcd, isqrt
 
 import pytest
 
-from dualform import (CharTwo, DivisionByZero, Matrix, NotPrime, PrimeField,
-                      RationalField, ValidationError, fields, make_field,
-                      rank)
+from dualform import (AlgebraError, CharTwo, DivisionByZero, Matrix, NotPrime,
+                      ParseError, PrimeField, RationalField, ValidationError,
+                      fields, make_field, rank)
 
 
 def test_make_field_prime():
@@ -146,6 +146,25 @@ def test_parse_enforces_the_wire_grammar(field, text):
     with pytest.raises(ValueError):
         field.parse(text)
     assert field.parse(" -12 ") == field.scalar(-12)
+
+
+@pytest.mark.parametrize("field, text, error, builtin", [
+    (make_field("rational"), "1.5", ParseError, ValueError),
+    (make_field("prime", 7), "3/2", ParseError, ValueError),
+    (make_field("rational"), "1/0", DivisionByZero, ZeroDivisionError),
+    (make_field("rational"), " -3/00 ", DivisionByZero, ZeroDivisionError),
+])
+def test_bad_scalar_text_raises_an_algebra_error(field, text, error,
+                                                 builtin):
+    """Text outside the grammar raises ParseError and a zero denominator
+    DivisionByZero, from parse and from a Matrix of the text: both are
+    AlgebraErrors, and still the ValueError and ZeroDivisionError that
+    callers caught before."""
+    for read in (field.parse, lambda t: Matrix(field, [[t]])):
+        with pytest.raises(error) as exc:
+            read(text)
+        assert isinstance(exc.value, AlgebraError)
+        assert isinstance(exc.value, builtin)
 
 
 @pytest.mark.parametrize("field, x", [

@@ -586,15 +586,18 @@ def test_equality_and_hash_see_the_shape(F):
     lambda: paper5().coords_of(("x", 0)),
     lambda: paper5().from_coords((0.5,)),
     lambda: linked_coset(paper5(), (0, 1, 0, 0, 0)).members(["x", None]),
+    lambda: Matrix(FQ, [[1, 2]]).mul(Matrix(F3, [[1], [2]])),
 ], ids=["metric-space-basis", "coords-matrix", "coords-of", "from-coords",
         "eval-b", "from-rows", "coordinates", "mul-vec", "b-linked",
         "linked-coset", "members", "matrix-cols", "matrix-ragged",
-        "coords-of-bad-text", "from-coords-float", "members-bad-scalars"])
+        "coords-of-bad-text", "from-coords-float", "members-bad-scalars",
+        "mul-mixed-fields"])
 def test_a_wrong_width_input_is_refused(call):
     """Every vector or coefficient list from outside has its width checked
     where it enters: by the Matrix it is read into, or by the product or
     eval_q call it first feeds.  The width is checked before any entry is
     coerced, so a wrong-width input with bad entries is a LengthMismatch
-    too."""
+    too.  A product of matrices over different fields is refused the
+    same way, as MetricSpace refuses a form over another field."""
     with pytest.raises(LengthMismatch):
         call()

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from dualform import (LengthMismatch, Matrix, MetricSpace, NotInSubspace,
-                      QuadraticForm, Singular, Subspace, rank, solve)
+                      QuadraticForm, Singular, Subspace, invert_matrix,
+                      linalg, rank, solve)
 from helpers import (ALL_FIELDS, F2, F3, FQ, hyperbolic_gf2, paper5,
-                     rad_char2, random_instance, random_scalar, random_vector)
+                     rad_char2, random_instance, random_scalar, random_vector,
+                     record_calls, record_parses)
 
 
 class TestInit:
@@ -237,6 +239,45 @@ def test_change_of_basis_matches_pairwise_polar_table(F):
                 assert out.form.coefficient(i, j) == \
                     inst.eval_b(cols[i], cols[j])
         assert list(out.s_basis) == [inst.from_coords(c) for c in cols]
+
+
+def test_eval_b_parses_each_text_coordinate_once(monkeypatch):
+    """eval_b reads x and y into one Matrix, which checks both widths and
+    parses each text coordinate once, and evaluates Q on those canonical
+    rows; a wrong-width x or y is refused."""
+    inst = paper5()
+    parsed = record_parses(monkeypatch, inst.field)
+    assert inst.eval_b(("0", "1", "0"), ("0", "0", "1/2")) == 1
+    assert sorted(parsed) == ["0", "0", "0", "0", "1", "1/2"]
+    for x, y in (((0, 1), (0, 0, 1)), ((0, 1, 0), (0, 1)),
+                 ((0, 1, 0), (0, 0, 1, 0))):
+        with pytest.raises(LengthMismatch):
+            inst.eval_b(x, y)
+
+
+@pytest.mark.parametrize("make, radical", [(paper5, 2),
+                                           (hyperbolic_gf2, 1)],
+                         ids=["paper5", "hyperbolic-gf2"])
+def test_a_change_of_basis_computes_its_facts_once(monkeypatch, make,
+                                                   radical):
+    """A change_of_basis result is given neither its radical nor its span
+    transform: the first radical() runs the kernel of the polar Gram
+    matrix and, for a nonzero radical, the echelon of its ambient rows;
+    the first coordinate question runs one rref of the basis.  Asked
+    again, each returns the same object and eliminates nothing."""
+    inst = make()
+    F, m = inst.field, inst.m
+    T = Matrix(F, [[int(i <= j) for j in range(m)] for i in range(m)])
+    changed = inst.change_of_basis(T)
+    calls = record_calls(monkeypatch, linalg.rref, linalg._echelon)
+    rad = changed.radical()
+    assert len(calls) == radical, calls
+    assert changed.radical() is rad and len(calls) == radical
+    span_t = changed._transform()
+    assert calls[radical:] == [("rref", m, inst.n)]
+    assert changed._transform() is span_t and len(calls) == radical + 1
+    assert changed.coords_of(inst.s_basis[0]) == \
+        invert_matrix(T).column(0)
 
 
 @pytest.mark.parametrize("F", [FQ, F2, F3], ids=repr)

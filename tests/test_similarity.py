@@ -12,7 +12,7 @@ from dualform import similarity
 from dualform.linalg import dot
 from helpers import (ALL_FIELDS, F2, F3, FQ, hyperbolic_gf2, paper5,
                      rad_char2, random_instance_with_condition, random_scalar,
-                     random_subspace_basis, random_vector)
+                     random_subspace_basis, random_vector, record_parses)
 
 
 def random_invertible(rng, F, n):
@@ -291,6 +291,20 @@ def test_maps_built_internally_skip_the_rank_check(monkeypatch):
     report = theorem_psi_check(inst, psi_s, 1)
     assert ranks == [] and per_vector == []
     assert report.preserves_s and report.primal_ok and report.dual_ok
+
+
+def test_theorem_psi_check_parses_a_text_ratio_once(monkeypatch):
+    """theorem_psi_check reads the ratio c once and gives the same c to
+    the primal and the dual verdicts: psi = 2 I scales Q, and so the dual
+    form, by 4."""
+    inst = paper5()
+    parsed = record_parses(monkeypatch, inst.field)
+    psi = LinearMap(Matrix(FQ, [[2 * (i == j) for j in range(5)]
+                                for i in range(5)]))
+    report = theorem_psi_check(inst, psi, "4")
+    assert parsed == ["4"]
+    assert report.ratio == 4 and report.primal_ok and report.dual_ok
+    assert not theorem_psi_check(inst, psi, "2").dual_ok
 
 
 def test_theorem_psi_check_asks_the_radical_condition_once(monkeypatch):
