@@ -10,9 +10,10 @@ an ``int`` directly and any other exact number (an ``int`` over the
 rationals, a ``Decimal``, a ``bool``) by one ``Fraction`` coercion; GF(p)
 reduces a fraction as numerator times inverse denominator.  A ``float``,
 NaN, an infinity or a non-number raises ``ValidationError``, text outside
-the grammar ``ParseError`` (also a ``ValueError``) and a zero denominator
-``DivisionByZero`` (also a ``ZeroDivisionError``).  The matrix
-and form kernels in ``linalg`` and ``quadform`` bypass them: they run native
+the grammar or over Python's int/str digit limit ``ParseError`` (also a
+``ValueError``) and a zero denominator ``DivisionByZero`` (also a
+``ZeroDivisionError``).  The matrix and form kernels in ``linalg`` and
+``quadform`` bypass them: they run native
 ``int``/``Fraction`` operators and, over GF(p), reduce modulo
 ``characteristic()`` once per computed entry.  Over the rationals a matrix
 keeps its rows cleared of denominators, as ``int`` rows over one
@@ -37,6 +38,16 @@ def _match(grammar, text):
     if not grammar.fullmatch(text):
         raise ParseError(f"{text!r} does not match {grammar.pattern}")
     return text
+
+
+def _int(digits):
+    """int of matched digit text; ParseError, not int()'s plain ValueError,
+    for text over Python's int/str conversion digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"{len(digits)} characters exceed the int/str "
+                         "conversion digit limit") from None
 
 
 def _exact(x):
@@ -136,9 +147,10 @@ class RationalField(Field):
 
     def parse(self, text):
         num, _, den = _match(_RATIONAL, text).partition("/")
-        if den and not int(den):
+        num, den = _int(num), _int(den or "1")
+        if not den:
             raise DivisionByZero(f"zero denominator in {text.strip()!r}")
-        return Fraction(int(num), int(den or "1"))
+        return Fraction(num, den)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -188,7 +200,7 @@ class PrimeField(Field):
         return pow(a, -1, self.p)
 
     def parse(self, text):
-        return int(_match(_RESIDUE, text)) % self.p
+        return _int(_match(_RESIDUE, text)) % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -377,8 +377,10 @@ def _echelon(M, transform):
     column, and at full rank det(M) = sign * prev / prod(dens), sign that
     of the row swaps.  In the end a pivot row is divided by its pivot and
     any other row by its entry in its own column own[i] of T, nonzero
-    because no pivot row is nonzero there: the divisor becomes the row's
-    denominator, and W holds the cleared rows.
+    because no pivot row is nonzero there: each row is multiplied by the
+    sign of its divisor, read off the int, and the divisor's size becomes
+    the row's denominator, so no Field.inv is called and W holds the
+    cleared rows.
     """
     F = M.field
     p, n, k = F.characteristic(), M.rows, M.cols
@@ -459,12 +461,8 @@ def _echelon(M, transform):
         del a[r:]
     out = []
     for i, row in enumerate(a):
-        if i < r:
-            inv = F.inv(row[pivots[i]])
-            num, d = inv.numerator, inv.denominator  # inv = +-1/d
-        else:
-            v = row[k + own[i]]
-            num, d = (1, v) if v > 0 else (-1, -v)
+        v = row[pivots[i] if i < r else k + own[i]]
+        num, d = (1, v) if v > 0 else (-1, -v)
         g = gcd(d, *row)
         if num != 1 or g != 1:
             a[i] = [num * x // g for x in row]

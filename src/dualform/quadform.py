@@ -13,9 +13,15 @@ from .linalg import (Matrix, Subspace, _canon, _row_dots, kernel, rank, rref,
 
 
 class QuadraticForm:
-    """Coefficient table of a quadratic form on an m-dimensional domain."""
+    """Coefficient table of a quadratic form on an m-dimensional domain.
 
-    __slots__ = ("field", "m", "diag", "upper")
+    A form is immutable, so mutating diag or upper after construction is
+    unsupported.  Its matrix() and polar_gram() are computed once, on
+    first use, and kept in _matrix and _gram; every caller shares them,
+    so over the rationals their rows are cleared of denominators once.
+    """
+
+    __slots__ = ("field", "m", "diag", "upper", "_matrix", "_gram")
 
     def __init__(self, field, diag, upper=None):
         self.field = field
@@ -30,6 +36,7 @@ class QuadraticForm:
             if not field.is_zero(v):
                 cleaned[(i, j)] = v
         self.upper = cleaned
+        self._matrix = self._gram = None
 
     @classmethod
     def _trusted(cls, field, diag, upper):
@@ -37,28 +44,32 @@ class QuadraticForm:
         self = object.__new__(cls)
         self.field, self.diag, self.m = field, tuple(diag), len(diag)
         self.upper = {ij: v for ij, v in upper.items() if v}
+        self._matrix = self._gram = None
         return self
 
     def matrix(self):
         """Upper-triangular A with Q(x) = x^t A x, diag on its diagonal."""
-        F, m, d = self.field, self.m, self.diag
-        return Matrix._trusted(F, [[d[i] if i == j else
-                                    self.upper.get((i, j), F.zero)
-                                    for j in range(m)] for i in range(m)], m)
+        if self._matrix is None:
+            F, m, d = self.field, self.m, self.diag
+            self._matrix = Matrix._trusted(
+                F, [[d[i] if i == j else self.upper.get((i, j), F.zero)
+                     for j in range(m)] for i in range(m)], m)
+        return self._matrix
 
     def polar_gram(self):
         """Symmetric m x m matrix of the polar form B; alternating in
         characteristic 2."""
-        F, m = self.field, self.m
-        g = [[F.zero] * m for _ in range(m)]
-        two = F.add(F.one, F.one)
-        two_q = _canon(F.characteristic(), [two * x for x in self.diag])
-        for i in range(m):
-            g[i][i] = two_q[i]
-        for (i, j), v in self.upper.items():
-            g[i][j] = v
-            g[j][i] = v
-        return Matrix._trusted(F, g, m)
+        if self._gram is None:
+            F, m = self.field, self.m
+            g = [[F.zero] * m for _ in range(m)]
+            two_q = _canon(F.characteristic(), [2 * x for x in self.diag])
+            for i in range(m):
+                g[i][i] = two_q[i]
+            for (i, j), v in self.upper.items():
+                g[i][j] = v
+                g[j][i] = v
+            self._gram = Matrix._trusted(F, g, m)
+        return self._gram
 
     def coefficient(self, i, j):
         """Polar coefficient B(b_i, b_j) for i != j, stored or zero."""

@@ -1,7 +1,9 @@
 """Property tests of the paper's identities, with shrinking: over the
 rationals, GF(2), GF(3) and GF(2^31 - 1), for instances with n <= 8,
 dualizing twice gives the instance back, linking on the dual side is the
-converse of linking, linked pairs share their value Q^(a*) = Q(x), the
+converse of linking, linked pairs share their value Q^(a*) = Q(x), away
+from characteristic 2 the dual's diagonal read as g22^-1[i][i] / 2 is
+the characteristic-2 formula's and the value of the linked vector, the
 adjugate of the middle Gram block is its determinant times the dual's
 Gram block, a map in adapted block form is a similarity exactly when its
 transpose is one on the dual, and a reflection is an involution negating
@@ -18,8 +20,9 @@ import pytest
 from dualform import (LinearMap, Matrix, MetricSpace, Subspace, adapted_basis,
                       adjugate, annihilator, b_linked, det,
                       double_dual_check, dualize, invert_matrix, kernel,
-                      linked_forms, make_field, reflection,
+                      linked_coset, linked_forms, make_field, reflection,
                       theorem_psi_check)
+from dualform.linalg import _row_dots
 from helpers import F2, F3, FQ
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -73,6 +76,27 @@ def test_linked_pairs_share_their_value(F, data):
     coords = data.draw(coordinates(F, inst.m))
     a_star = linked_form(data, inst, inst.from_coords(coords))
     assert dual.eval_q(dual.coords_of(a_star)) == inst.eval_q(coords)
+
+
+@pytest.mark.parametrize("F", [FQ, F3, make_field("prime", 2**31 - 1)],
+                         ids=["Q", "GF3", "GF(2^31-1)"])
+@PROPERTY
+@hypothesis.given(data=st.data())
+def test_odd_dual_diagonal_matches_two_independent_values(F, data):
+    """Away from characteristic 2 dualize reads Q^(e_i) as g22^-1[i][i] / 2.
+    It equals the characteristic-2 route, row i of g22^-1 A22 paired with
+    row i of g22^-1 for A22 the matrix of the form on the middle adapted
+    vectors, and Q(x) for the x that linked_coset links to dual basis
+    vector i."""
+    inst = data.draw(instances(F))
+    res = dualize(inst)
+    ab, g22_hat, diag = res.adapted, res.g22_hat, res.dual.form.diag
+    A22 = inst._form_in(ab.coords.submatrix(range(inst.m), ab.i2)).matrix()
+    assert list(diag[:g22_hat.rows]) == \
+        _row_dots(g22_hat.mul(A22), g22_hat)
+    for e, value in zip(res.dual.s_basis, diag, strict=True):
+        x = linked_coset(inst, e).representative
+        assert value == inst.eval_q(inst.coords_of(x))
 
 
 @FIELDS

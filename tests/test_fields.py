@@ -1,4 +1,5 @@
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
@@ -165,6 +166,35 @@ def test_bad_scalar_text_raises_an_algebra_error(field, text, error,
             read(text)
         assert isinstance(exc.value, AlgebraError)
         assert isinstance(exc.value, builtin)
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's int/str conversion digit limit, set to its default 4300
+    for the test and restored after."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("field", [make_field("rational"),
+                                   make_field("prime", 7)], ids=repr)
+def test_text_over_the_digit_limit_raises_parse_error(field, digit_limit):
+    """Digit text longer than Python's int/str limit, which int() refuses
+    with a plain ValueError, raises ParseError from parse and scalar, as
+    a numerator and over the rationals as a denominator; text at the
+    limit still parses."""
+    long = "1" * (digit_limit + 1)
+    texts = [long, "-" + long]
+    if field.characteristic() == 0:
+        texts.append("1/" + long)
+    for text in texts:
+        for read in (field.parse, field.scalar):
+            with pytest.raises(ParseError):
+                read(text)
+    at_limit = "7" * digit_limit
+    assert field.parse(at_limit) == field.scalar(int(at_limit))
 
 
 @pytest.mark.parametrize("field, x", [

@@ -413,8 +413,9 @@ def test_membership_does_not_clear_the_basis_again(monkeypatch):
 @pytest.mark.parametrize("F", [FQ, F2, make_field("prime", 2**31 - 1)],
                          ids=repr)
 def test_rref_inverts_once_per_pivot(monkeypatch, F):
-    """rref calls Field.inv exactly once per pivot, over the rationals as
-    over GF(p); the traced benchmark counts these calls."""
+    """rref calls Field.inv exactly once per pivot over GF(p), and never
+    over the rationals, whose rows are normalised by the sign and size of
+    an int; the traced benchmark counts these calls."""
     calls = []
 
     def counting(raw):
@@ -434,7 +435,7 @@ def test_rref_inverts_once_per_pivot(monkeypatch, F):
             data[-1] = data[0]
         del calls[:]
         _, _, pivots = rref(Matrix(F, data, cols=cols))
-        assert len(calls) == len(pivots)
+        assert len(calls) == (len(pivots) if F.characteristic() else 0)
 
 
 def _gfp_matrices(rng, F, count):
