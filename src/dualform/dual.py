@@ -144,7 +144,7 @@ def _in_s_hat(inst, rad, a_star):
     """The dual vector a_star as a tuple of scalars; NotInSHat unless it
     annihilates the radical rad of inst."""
     a_star = Matrix(inst.field, [a_star], cols=inst.n).row(0)
-    if any(rad.subspace.basis.mul_vec(a_star)):
+    if any(rad.subspace.basis._mul_vec(a_star)):
         raise NotInSHat("form does not annihilate the radical")
     return a_star
 
@@ -155,26 +155,33 @@ def b_linked(inst, a_star, x):
     s_basis, in every characteristic."""
     coords = inst.coords_of(x)
     a_star = _in_s_hat(inst, inst.radical(), a_star)
-    return inst.polar_gram().mul_vec(coords) == inst._basis.mul_vec(a_star)
+    return inst.polar_gram()._mul_vec(coords) == inst._basis._mul_vec(a_star)
 
 
 def linked_coset(inst, f_star):
     """All vectors of S linked to f*: a representative plus the radical."""
     rad = inst.radical()
     f_star = _in_s_hat(inst, rad, f_star)
-    sol = _particular(inst.polar_gram(), inst._basis.mul_vec(f_star))
+    sol = _particular(inst.polar_gram(), inst._basis._mul_vec(f_star))
     assert sol is not None  # guaranteed once f* annihilates the radical
     return LinkedCoset(inst.from_coords(sol), rad.subspace)
 
 
 def linked_forms(inst, s):
     """Forms linked to s: a representative from G coords(s), plus ann(S)."""
+    return LinkedCoset(_linked_form(inst, inst.coords_of(s)),
+                       adapted_basis(inst).r_hat)
+
+
+def _linked_form(inst, coords):
+    """linked_forms' representative for the vector with canonical s_basis
+    coordinates coords: the row coords^t G = (G coords)^t, G symmetric,
+    read over the dual basis rows of a^-1 on i1 + i2."""
     m, n = inst.m, inst.n
-    coords = inst.coords_of(s)
     ab = adapted_basis(inst)
-    vals = Matrix._trusted(inst.field, [inst.polar_gram().mul_vec(coords)], m)
-    rep = vals.mul(ab.coords).mul(ab.a_inv.submatrix(range(m), range(n)))
-    return LinkedCoset(rep.row(0), ab.r_hat)
+    rep = Matrix._trusted(inst.field, [coords], m).mul(inst.polar_gram())
+    return rep.mul(ab.coords).mul(
+        ab.a_inv.submatrix(range(m), range(n))).row(0)
 
 
 def _check_radical_condition(inst):
@@ -191,19 +198,20 @@ def dualize(inst):
 
     With K the s_basis coordinates of the t = m - d middle adapted
     vectors, their polar Gram matrix is g22 = K^t G K, G the instance's
-    polar_gram().  The entries of g22^-1 are the polar coefficients of
-    the dual form, and all coefficients touching the trailing index block
-    vanish, so the dual's polar Gram matrix is diag(g22^-1, 0), in every
-    characteristic.  Its diagonal is Q^(e_i) = Q(x_i) for the middle
-    vector x_i linked to e_i.  Away from characteristic 2 this is
-    Q^(e_i) = g22^-1[i][i] / 2: x_i has middle coordinates row i of
-    g22^-1, so B(x_i, x_i) = (g22^-1 g22 g22^-1)[i][i] = g22^-1[i][i],
-    and Q(x) = B(x, x) / 2.  Only in characteristic 2 does Q^ need Q
-    itself: there only Q on the middle vectors is formed, as mid, its
-    g22 is mid's polar Gram matrix, and row i of g22^-1 A22, A22 mid's
-    matrix, paired with row i of g22^-1 gives Q^(e_i).  Elsewhere one
-    half, F.halve(F.one), is the call's only Field arithmetic and its
-    only Field.inv, which the traced benchmark counts on a second
+    cached polar_gram(), in every characteristic: the polar form alone
+    fixes S^, the linking relation and the dual's polar block.  The
+    entries of g22^-1 are the polar coefficients of the dual form, and
+    all coefficients touching the trailing index block vanish, so the
+    dual's polar Gram matrix is diag(g22^-1, 0).  Its diagonal is
+    Q^(e_i) = Q(x_i) for the middle vector x_i linked to e_i, which has
+    middle coordinates row i of g22^-1 and so s_basis coordinates row i
+    of X = g22^-1 K^t.  Only in characteristic 2 does Q^ need Q itself:
+    there Q^(e_i) = x_i^t A x_i, row i of X A paired with row i of X for
+    A = form.matrix().  Away from characteristic 2 it is
+    Q^(e_i) = g22^-1[i][i] / 2, as B(x_i, x_i) =
+    (g22^-1 g22 g22^-1)[i][i] = g22^-1[i][i] and Q(x) = B(x, x) / 2.
+    There one half, F.halve(F.one), is the call's only Field arithmetic
+    and its only Field.inv, which the traced benchmark counts on a second
     dualize of one instance (bench/test_perfbench.py).
 
     Nothing is eliminated twice.  R^ = ann(S) is rows i3 of a^-1, and the
@@ -223,14 +231,13 @@ def dualize(inst):
     d, m, n = ab.i2.start, ab.i3.start, inst.n
     t = m - d
     K = ab.coords.submatrix(range(m), ab.i2)
+    Kt = K.transpose()
+    g22 = Kt.mul(inst.polar_gram()).mul(K)
+    g22_hat = invert_matrix(g22)
     if p == 2:
-        mid = inst._form_in(K)
-        g22 = mid.polar_gram()
-        g22_hat = invert_matrix(g22)
-        diag = _row_dots(g22_hat.mul(mid.matrix()), g22_hat)
+        X = g22_hat.mul(Kt)
+        diag = _row_dots(X.mul(inst.form.matrix()), X)
     else:
-        g22 = K.transpose().mul(inst.polar_gram()).mul(K)
-        g22_hat = invert_matrix(g22)
         half = F.halve(F.one)
         diag = _canon(p, [half * g22_hat[i, i] for i in range(t)])
     diag = list(diag) + [F.zero] * (n - m)

@@ -1,4 +1,6 @@
-"""Exact scalar arithmetic over the rationals and over prime fields GF(p).
+"""Exact scalar arithmetic over the rationals and over prime fields GF(p),
+for an ``int`` p, a prime below ``PRIME_BOUND``: any other p, a ``bool``,
+a ``float`` or text among them, raises ``NotPrime``.
 
 Scalars are plain Python values: ``fractions.Fraction`` for the rationals and
 ``int`` residues in ``[0, p)`` for GF(p).  Both representations are canonical,
@@ -166,6 +168,8 @@ class PrimeField(Field):
     zero, one = 0, 1
 
     def __init__(self, p):
+        if type(p) is not int:
+            raise NotPrime(f"p = {p!r} is not an int")
         if not (2 <= p < PRIME_BOUND):
             raise NotPrime(f"p = {p} out of range [2, 2^31)")
         if not _is_prime(p):
@@ -213,7 +217,10 @@ class PrimeField(Field):
 
 
 def make_field(kind, p=None):
-    """Build a field from its descriptor: kind 'rational' or 'prime'."""
+    """Build a field from its descriptor: kind 'rational' or 'prime',
+    and for a prime field the int p."""
+    if not isinstance(kind, str):
+        raise ValidationError(f"field kind {kind!r} is not text")
     kind = kind.lower()
     if kind == "rational":
         return RationalField()

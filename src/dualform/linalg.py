@@ -115,11 +115,18 @@ class Matrix:
     width check of outside vectors: it raises ``LengthMismatch`` unless
     every row has ``cols`` entries (by default, as many as the first row),
     before it coerces any entry through ``field.scalar``, and ``mul``
-    raises it for a product of matrices over different fields.
-    ``Matrix._trusted`` is the internal one and checks nothing: its caller
-    guarantees rows of length ``cols`` whose entries are already canonical
-    (``Fraction`` over the rationals, ``int`` in [0, p) over GF(p)), as
-    every result computed here from canonical operands is.
+    raises it for a product of matrices over different fields.  The
+    public methods that take outside scalars read them the same way:
+    ``mul_vec``, and so ``solve``'s right-hand side and
+    ``LinearMap.apply``, through ``Matrix(field, [v], cols)``, and
+    ``scale`` its factor through ``field.scalar``.  ``_mul_vec`` is
+    ``mul_vec`` for a vector that is already canonical.
+    ``Matrix._trusted`` is the internal constructor and checks nothing:
+    its caller guarantees rows of length ``cols`` whose entries are
+    already canonical (``Fraction`` over the rationals, ``int`` in
+    [0, p) over GF(p)), as every result computed here from canonical
+    operands is.  ``Matrix._cleared`` builds a computed matrix from int
+    rows over their denominators, over either kind of field.
 
     Over the rationals a matrix may also hold its rows cleared of
     denominators, ``_q = (ints, dens)``: row i is ints[i] / dens[i], a list
@@ -168,8 +175,12 @@ class Matrix:
 
     @classmethod
     def _cleared(cls, field, ints, dens, cols):
-        """Internal constructor over the rationals from canonical cleared
-        rows (see the class docstring); data is built on first read."""
+        """Internal constructor of a computed matrix from int rows over
+        their denominators: over the rationals canonical cleared rows (see
+        the class docstring), whose data is built on first read; over
+        GF(p) rows of residues in [0, p), whose denominators are ignored."""
+        if field.characteristic():
+            return cls._trusted(field, ints, cols)
         self = object.__new__(cls)
         self.field = field
         self.rows = len(ints)
@@ -198,8 +209,6 @@ class Matrix:
     def _units(cls, field, idx, n):
         """The unit vectors e_i of F^n for i in idx, as rows."""
         rows = [[int(i == j) for j in range(n)] for i in idx]
-        if field.characteristic():
-            return cls._trusted(field, rows, n)
         return cls._cleared(field, rows, [1] * len(rows), n)
 
     @classmethod
@@ -281,12 +290,20 @@ class Matrix:
             for row in self.data], m)
 
     def mul_vec(self, v):
+        """M v for an outside vector v, read by Matrix(field, [v], cols):
+        LengthMismatch unless it has cols entries, each coerced through
+        field.scalar."""
+        return self._mul_vec(Matrix(self.field, [v], cols=self.cols).row(0))
+
+    def _mul_vec(self, v):
+        """mul_vec for a vector v of cols canonical scalars."""
         column = Matrix._trusted(self.field, [[x] for x in v], 1)
         return self.mul(column).column(0)
 
     def scale(self, c):
+        """c M, for c coerced through field.scalar."""
         F = self.field
-        p = F.characteristic()
+        p, c = F.characteristic(), F.scalar(c)
         return Matrix._trusted(F, [_canon(p, [c * x for x in row])
                                    for row in self.data], self.cols)
 
@@ -634,18 +651,13 @@ def _null_rows(R, pivots, free):
         for c, x in zip(pivots, col):
             v[c] = x
         rows.append(v)
-    if p:
-        return Matrix._trusted(F, rows, k)
     return Matrix._cleared(F, rows, dens, k)
 
 
 def _flipped(M):
     """M with its rows and its columns in reverse order."""
     F = M.field
-    if F.characteristic():
-        return Matrix._trusted(F, [row[::-1] for row in reversed(M.data)],
-                               M.cols)
-    ints, dens = M._ints()
+    ints, dens = (M.data, [1] * M.rows) if F.characteristic() else M._ints()
     return Matrix._cleared(F, [row[::-1] for row in reversed(ints)],
                            dens[::-1], M.cols)
 
@@ -673,11 +685,10 @@ def kernel(M):
 
 
 def _particular(M, b):
-    """solve's particular solution, or None, without the null space."""
-    if len(b) != M.rows:
-        raise LengthMismatch("rhs length != number of rows")
+    """solve's particular solution, or None, without the null space, for
+    a right-hand side b of M.rows canonical scalars."""
     R, T, pivots = rref(M)
-    c = T.mul_vec(b)
+    c = T._mul_vec(b)
     if any(c[len(pivots):]):
         return None
     x = [M.field.zero] * M.cols
@@ -687,8 +698,9 @@ def _particular(M, b):
 
 
 def solve(M, b):
-    """All solutions of M x = b as (particular, homogeneous) or None."""
-    x = _particular(M, b)
+    """All solutions of M x = b as (particular, homogeneous) or None; the
+    outside vector b is read like mul_vec's, with M.rows entries."""
+    x = _particular(M, Matrix(M.field, [b], cols=M.rows).row(0))
     return None if x is None else (x, kernel(M))
 
 
@@ -727,8 +739,6 @@ def _dual_rows(S, N):
             v[c] = 1
         out.append(v)
         out_dens.append(d)
-    if p:
-        return Matrix._trusted(F, out, n)
     return Matrix._cleared(F, out, out_dens, n)
 
 

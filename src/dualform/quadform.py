@@ -7,7 +7,9 @@ faithful in characteristic 2, where the Gram matrix alone loses the diagonal
 values.
 """
 
-from .errors import LengthMismatch, NotInSubspace, Singular
+from collections.abc import Mapping
+
+from .errors import LengthMismatch, NotInSubspace, Singular, ValidationError
 from .linalg import (Matrix, Subspace, _canon, _row_dots, kernel, rank, rref,
                      vec_add)
 
@@ -27,14 +29,17 @@ class QuadraticForm:
         self.field = field
         self.diag = tuple(field.scalar(x) for x in diag)
         self.m = len(self.diag)
+        if not isinstance(upper, (Mapping, type(None))):
+            raise ValidationError("upper must map index pairs to scalars")
         cleaned = {}
-        for (i, j), v in (upper or {}).items():
-            # an index is an int, and a bool is not one
+        for ij, v in (upper or {}).items():
+            # an index pair is a tuple of two ints, and a bool is not one
+            i, j = ij if type(ij) is tuple and len(ij) == 2 else (None, None)
             if not (type(i) is type(j) is int and 0 <= i < j < self.m):
-                raise LengthMismatch(f"bad coefficient index ({i}, {j})")
+                raise LengthMismatch(f"bad coefficient index {ij!r}")
             v = field.scalar(v)
             if not field.is_zero(v):
-                cleaned[(i, j)] = v
+                cleaned[ij] = v
         self.upper = cleaned
         self._matrix = self._gram = None
 

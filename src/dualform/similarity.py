@@ -6,7 +6,7 @@ transpose acts on dual coordinate rows; with the standard pairing this is
 the plain matrix transpose.
 """
 
-from .dual import _check_radical_condition, dualize, linked_forms
+from .dual import _check_radical_condition, _linked_form, dualize
 from .errors import (IsotropicVector, LengthMismatch, NotInSubspace,
                      Singular, ZeroRatio)
 from .linalg import Matrix, _canon, rank
@@ -62,11 +62,17 @@ def verify_similarity(inst, psi, c):
     equivalent to the pointwise condition in every characteristic.  For the
     zero form only ratio 1 is accepted.
     """
-    F = inst.field
+    c = _ratio(inst.field, c)
+    return _scales_form(inst, _image_coords(inst, psi), c)
+
+
+def _ratio(F, c):
+    """The similarity ratio c as a scalar of F, read once; ZeroRatio if
+    it is zero."""
     c = F.scalar(c)
     if F.is_zero(c):
         raise ZeroRatio("similarity ratio must be nonzero")
-    return _scales_form(inst, _image_coords(inst, psi), c)
+    return c
 
 
 def _image_coords(inst, psi):
@@ -84,8 +90,10 @@ def _scales_form(inst, images, c):
     F, form = inst.field, inst.form
     if images is None or (form.is_zero() and c != F.one):
         return False
-    scaled = QuadraticForm(F, [F.mul(c, x) for x in form.diag],
-                           {k: F.mul(c, v) for k, v in form.upper.items()})
+    p, upper = F.characteristic(), form.upper
+    scaled = QuadraticForm._trusted(
+        F, _canon(p, [c * x for x in form.diag]),
+        dict(zip(upper, _canon(p, [c * v for v in upper.values()]))))
     # psi is injective and maps S into S, so images is invertible
     return inst._form_in(images) == scaled
 
@@ -109,10 +117,7 @@ def theorem_psi_check(inst, psi, c):
     dual-side condition for the transposed map; report both verdicts and
     the adapted-basis block structure of the extension matrix.  The dual
     is the instance's shared one, so repeated checks dualize it once."""
-    F = inst.field
-    c = F.scalar(c)
-    if F.is_zero(c):
-        raise ZeroRatio("similarity ratio must be nonzero")
+    c = _ratio(inst.field, c)
     dres = inst._fact("_dual", dualize)
     images = _image_coords(inst, psi)
     primal = _scales_form(inst, images, c)
@@ -141,10 +146,10 @@ def reflection(inst, s):
     _check_radical_condition(inst)
     V = Matrix(F, [s], cols=inst.n)
     s, coords = V.row(0), inst._coords(V).column(0)
-    qs = inst.eval_q(coords)
+    qs = inst._q_at(coords)
     if F.is_zero(qs):
         raise IsotropicVector("reflection needs Q(s) != 0")
-    f_star = linked_forms(inst, s).representative
+    f_star = _linked_form(inst, coords)
     # I - Q(s)^-1 s f*^t; an involution by construction, so no rank check
     p, inv_qs = F.characteristic(), F.inv(qs)
     psi_ext = LinearMap._trusted(Matrix._trusted(F, [

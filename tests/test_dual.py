@@ -364,6 +364,29 @@ def test_dualize_elimination_count(monkeypatch, fixture, first, again):
     assert [c for c in calls if c[0] == "rref"] == [("rref", t, t)], calls
 
 
+@pytest.mark.parametrize("F", [FQ, F2, F3, fields.PrimeField(2**31 - 1)],
+                         ids=repr)
+def test_dualize_builds_no_form_on_the_middle_vectors(monkeypatch, F):
+    """dualize forms g22 = K^t G K from the instance's cached polar Gram
+    matrix in every characteristic, and in characteristic 2 the dual's
+    diagonal as Q at the vectors linked to the dual basis: no dualize
+    builds the form on the middle adapted vectors, as
+    MetricSpace._form_in would."""
+    rng = random.Random(23)
+    insts = [random_instance_with_condition(rng, F) for _ in range(12)]
+    insts.append(_hyperbolic(F, 8, 6, 2, False))
+    formed = []
+    raw = MetricSpace._form_in
+
+    def recording(inst, T):
+        formed.append(T.cols)
+        return raw(inst, T)
+
+    monkeypatch.setattr(MetricSpace, "_form_in", recording)
+    middles = [dualize(inst).g22.rows for inst in insts]
+    assert formed == [] and max(middles) > 0
+
+
 def _hyperbolic(F, n, m, d, first):
     """A seeded S of dim m in F^n whose form is a sum of hyperbolic
     planes Q(x, y) = xy on t = m - d (even) s_basis vectors, after the

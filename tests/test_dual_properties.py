@@ -78,16 +78,18 @@ def test_linked_pairs_share_their_value(F, data):
     assert dual.eval_q(dual.coords_of(a_star)) == inst.eval_q(coords)
 
 
-@pytest.mark.parametrize("F", [FQ, F3, make_field("prime", 2**31 - 1)],
-                         ids=["Q", "GF3", "GF(2^31-1)"])
+@pytest.mark.parametrize("F", [FQ, F3, make_field("prime", 2**31 - 1), F2],
+                         ids=["Q", "GF3", "GF(2^31-1)", "GF2"])
 @PROPERTY
 @hypothesis.given(data=st.data())
 def test_odd_dual_diagonal_matches_two_independent_values(F, data):
-    """Away from characteristic 2 dualize reads Q^(e_i) as g22^-1[i][i] / 2.
-    It equals the characteristic-2 route, row i of g22^-1 A22 paired with
-    row i of g22^-1 for A22 the matrix of the form on the middle adapted
-    vectors, and Q(x) for the x that linked_coset links to dual basis
-    vector i."""
+    """Away from characteristic 2 dualize reads Q^(e_i) as g22^-1[i][i] / 2,
+    in characteristic 2 as Q at the s_basis coordinates, rows of
+    g22^-1 K^t, of the vectors linked to the dual basis.  Either way it
+    equals row i of g22^-1 A22 paired with row i of g22^-1, for A22 the
+    matrix of the form built on the middle adapted vectors, a formula
+    that holds in every characteristic, and Q(x) for the x that
+    linked_coset links to dual basis vector i."""
     inst = data.draw(instances(F))
     res = dualize(inst)
     ab, g22_hat, diag = res.adapted, res.g22_hat, res.dual.form.diag

@@ -28,10 +28,16 @@ def test_make_field_composite_rejected():
         make_field("prime", 6)
 
 
-@pytest.mark.parametrize("p", [4, 9, 15, 2**31])
+@pytest.mark.parametrize("p", [4, 9, 15, 2**31, 7.0, 11.0, "7", True,
+                               Fraction(7), Decimal(7)], ids=repr)
 def test_bad_primes(p):
+    """p is an int prime: a float, text, bool or other number equal to a
+    prime is refused too, so no GF(7.0) equal and hash-equal to GF(7)
+    exists to mix with it in a product."""
     with pytest.raises(NotPrime):
         PrimeField(p)
+    with pytest.raises(NotPrime):
+        make_field("prime", p)
 
 
 def _trial_division(p):
@@ -232,3 +238,9 @@ def test_scalar_reads_any_exact_number_canonically(field, x, want):
 def test_scalar_refuses_a_denominator_divisible_by_p():
     with pytest.raises(DivisionByZero):
         make_field("prime", 7).scalar(Fraction(1, 14))
+
+
+@pytest.mark.parametrize("kind", [3, None, b"prime", ["rational"]], ids=repr)
+def test_a_field_kind_is_text(kind):
+    with pytest.raises(ValidationError):
+        make_field(kind, 7)

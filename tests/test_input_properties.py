@@ -1,0 +1,212 @@
+"""Property test of the library's outside inputs, the counterpart of
+tests/test_cli_fuzz.py: every public function that takes values from
+outside is sent malformed scalars, vectors of the wrong width, matrices
+and forms over another field, or a field descriptor that is not one, next
+to otherwise valid arguments built on a drawn instance.  Every call must
+raise an ``AlgebraError`` subclass, and nothing else: no ``TypeError``,
+``AttributeError`` or ``ValueError`` from deeper down, and no result
+computed from a value it should have refused.
+
+A malformed scalar is one ``Field.scalar`` refuses: a float (integral,
+NaN or infinite ones too), a complex number, ``None``, bytes, a list, an
+object, a ``Decimal`` NaN or infinity, text outside the field's grammar
+or with a zero denominator, and over GF(p) a fraction whose denominator p
+divides."""
+
+from decimal import Decimal
+from fractions import Fraction
+
+import pytest
+
+from dualform import (AlgebraError, LinearMap, Matrix, MetricSpace,
+                      PrimeField, QuadraticForm, Subspace, b_linked,
+                      converse_relation_check, extend_basis, linked_coset,
+                      linked_forms, make_field, reflection, solve,
+                      theorem_psi_check, verify_similarity)
+from dualform import fields
+from helpers import F2, F3, FQ
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+from strategies import PROPERTY, coordinates, instances, scalars  # noqa: E402
+
+FIELDS = (FQ, F2, F3, make_field("prime", 2**31 - 1))
+FUZZ = hypothesis.settings(PROPERTY, max_examples=25)
+ODD = [None, 1.0, 0.5, -0.0, float("nan"), float("inf"), 1j, b"1", [1],
+       (), object(), Decimal("NaN"), Decimal("-Infinity"), "", "x", "1.5",
+       "--1", "+1", "1/2/3", "1/0", "0/0"]
+
+
+def bad_scalars(F):
+    grammar = fields._RESIDUE if F.characteristic() else fields._RATIONAL
+    text = st.text(max_size=4).filter(
+        lambda t: not grammar.fullmatch(t.strip()))
+    odd = st.sampled_from(ODD)
+    if F.characteristic():
+        odd = st.one_of(odd, st.integers(1, 5).map(
+            lambda k: Fraction(k * F.p + 1, F.p)))
+    return st.one_of(odd, text)
+
+
+@st.composite
+def bad_vectors(draw, F, width):
+    """A vector not in F^width: of another length, with entries good or
+    bad, or of this length with one entry a malformed scalar."""
+    if width == 0 or draw(st.booleans()):
+        k = draw(st.integers(0, 9).filter(lambda k: k != width))
+        return draw(st.lists(st.one_of(scalars(F), bad_scalars(F)),
+                             min_size=k, max_size=k))
+    v = draw(coordinates(F, width))
+    v[draw(st.integers(0, width - 1))] = draw(bad_scalars(F))
+    return v
+
+
+@st.composite
+def bad_rows(draw, F, count, width):
+    """count >= 1 rows of which one is a bad vector, the rest in F^width."""
+    rows = draw(st.lists(coordinates(F, width), min_size=count,
+                         max_size=count))
+    rows[draw(st.integers(0, count - 1))] = draw(bad_vectors(F, width))
+    return rows
+
+
+def other_field(draw, F):
+    return draw(st.sampled_from([G for G in FIELDS if G != F]))
+
+
+def _map(draw, F, inst):
+    """A map the similarity checks refuse: over another field, or of the
+    wrong size."""
+    if draw(st.booleans()):
+        return LinearMap(Matrix.identity(other_field(draw, F), inst.n))
+    return LinearMap(Matrix.identity(F, inst.n + 1))
+
+
+def _form(draw, F, m):
+    """QuadraticForm arguments with one bad scalar, key or table."""
+    diag = draw(coordinates(F, m))
+    how = draw(st.sampled_from(["diag", "value", "key", "table"]))
+    if how == "diag" or m < 2 and how == "value":
+        diag.insert(draw(st.integers(0, m)), draw(bad_scalars(F)))
+        return diag, {}
+    if how == "value":
+        return diag, {(0, 1): draw(bad_scalars(F))}
+    if how == "key":
+        return diag, {draw(st.sampled_from([
+            0, (0,), (0, 1, 2), "01", (0, "1"), (0, 1.0), (1, 0), (0, m),
+            (-1, 0), (False, True)])): 1}
+    return diag, draw(st.sampled_from([[(0, 1, 1)], [((0, 1), 1)], 5, "01"]))
+
+
+def _vec(draw, F, width):
+    return draw(bad_vectors(F, width))
+
+
+def _zero_form(inst):
+    return (inst.field.zero,) * inst.n
+
+
+def _identity(F, n):
+    return LinearMap(Matrix.identity(F, n))
+
+
+# name -> builder(draw, F, inst) of (function, *arguments), a call that
+# must raise.
+ENTRIES = {
+    "Matrix": lambda draw, F, inst: (
+        Matrix, F, draw(bad_rows(F, draw(st.integers(1, 3)), inst.n)),
+        inst.n),
+    "Matrix.mul_vec": lambda draw, F, inst: (
+        inst.subspace.basis.mul_vec, _vec(draw, F, inst.n)),
+    "Matrix.scale": lambda draw, F, inst: (
+        inst.subspace.basis.scale, draw(bad_scalars(F))),
+    "Matrix.mul": lambda draw, F, inst: (
+        Matrix.identity(F, inst.n).mul,
+        Matrix.identity(other_field(draw, F), inst.n)),
+    "solve": lambda draw, F, inst: (
+        solve, inst.subspace.basis, _vec(draw, F, inst.subspace.dim)),
+    "LinearMap.apply": lambda draw, F, inst: (
+        _identity(F, inst.n).apply, _vec(draw, F, inst.n)),
+    "LinearMap.compose": lambda draw, F, inst: (
+        _identity(F, inst.n).compose,
+        _identity(other_field(draw, F), inst.n)),
+    "Subspace.from_rows": lambda draw, F, inst: (
+        Subspace.from_rows, F, inst.n, draw(bad_rows(F, 2, inst.n))),
+    "Subspace.contains": lambda draw, F, inst: (
+        inst.subspace.contains, _vec(draw, F, inst.n)),
+    "Subspace.coordinates": lambda draw, F, inst: (
+        inst.subspace.coordinates, _vec(draw, F, inst.n)),
+    "Subspace.is_subspace_of": lambda draw, F, inst: (
+        Subspace.full(other_field(draw, F), inst.n).is_subspace_of,
+        inst.subspace),
+    "extend_basis": lambda draw, F, inst: (
+        extend_basis, Subspace.zero(other_field(draw, F), inst.n),
+        inst.subspace),
+    "QuadraticForm": lambda draw, F, inst: (
+        QuadraticForm, F, *_form(draw, F, inst.m)),
+    "MetricSpace": lambda draw, F, inst: (
+        MetricSpace, F, inst.n, inst.s_basis, draw(st.sampled_from([
+            QuadraticForm(other_field(draw, F), [0] * inst.m),
+            QuadraticForm(F, [0] * (inst.m + 1))]))),
+    "MetricSpace.s_basis": lambda draw, F, inst: (
+        MetricSpace, F, inst.n, draw(bad_rows(F, max(inst.m, 1), inst.n)),
+        inst.form),
+    "change_of_basis": lambda draw, F, inst: (
+        inst.change_of_basis, draw(st.sampled_from([
+            Matrix.identity(other_field(draw, F), inst.m),
+            Matrix.identity(F, inst.m + 1)]))),
+    "coords_of": lambda draw, F, inst: (
+        inst.coords_of, _vec(draw, F, inst.n)),
+    "coords_matrix": lambda draw, F, inst: (
+        inst.coords_matrix, draw(bad_rows(F, 2, inst.n))),
+    "from_coords": lambda draw, F, inst: (
+        inst.from_coords, _vec(draw, F, inst.m)),
+    "eval_q": lambda draw, F, inst: (inst.eval_q, _vec(draw, F, inst.m)),
+    "eval_b": lambda draw, F, inst: (
+        inst.eval_b, *draw(st.permutations([_vec(draw, F, inst.m),
+                                            draw(coordinates(F, inst.m))]))),
+    "b_linked": lambda draw, F, inst: (
+        b_linked, inst, *draw(st.sampled_from([
+            (_vec(draw, F, inst.n), inst.from_coords([0] * inst.m)),
+            (_zero_form(inst), _vec(draw, F, inst.n))]))),
+    "converse_relation_check": lambda draw, F, inst: (
+        converse_relation_check, inst,
+        [(_zero_form(inst), _vec(draw, F, inst.n))]),
+    "linked_coset": lambda draw, F, inst: (
+        linked_coset, inst, _vec(draw, F, inst.n)),
+    "LinkedCoset.members": lambda draw, F, inst: (
+        linked_coset(inst, _zero_form(inst)).members,
+        _vec(draw, F, inst.radical().dim)),
+    "linked_forms": lambda draw, F, inst: (
+        linked_forms, inst, _vec(draw, F, inst.n)),
+    "reflection": lambda draw, F, inst: (
+        reflection, inst, _vec(draw, F, inst.n)),
+    "verify_similarity": lambda draw, F, inst: (
+        verify_similarity, inst, _identity(F, inst.n), draw(bad_scalars(F))),
+    "verify_similarity.map": lambda draw, F, inst: (
+        verify_similarity, inst, _map(draw, F, inst), 1),
+    "theorem_psi_check": lambda draw, F, inst: (
+        theorem_psi_check, inst, _identity(F, inst.n), draw(bad_scalars(F))),
+    "theorem_psi_check.map": lambda draw, F, inst: (
+        theorem_psi_check, inst, _map(draw, F, inst), 1),
+    "Field.scalar": lambda draw, F, inst: (F.scalar, draw(bad_scalars(F))),
+    "Field.parse": lambda draw, F, inst: (
+        F.parse, draw(bad_scalars(F).filter(lambda x: isinstance(x, str)))),
+    "PrimeField": lambda draw, F, inst: (PrimeField, draw(st.sampled_from(
+        [7.0, 11.0, "7", True, Fraction(7), Decimal(7), None, 4, 1, -7,
+         2**31]))),
+    "make_field": lambda draw, F, inst: (make_field, *draw(st.sampled_from(
+        [(3,), (None,), (b"prime", 7), ("prime", 7.0), ("prime", "7"),
+         ("prime",), ("prime", 9), ("finite", 7)]))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+@FUZZ
+@hypothesis.given(data=st.data())
+def test_every_public_entry_refuses_bad_outside_values(name, data):
+    F = data.draw(st.sampled_from(FIELDS))
+    inst = data.draw(instances(F))
+    func, *args = ENTRIES[name](data.draw, F, inst)
+    with pytest.raises(AlgebraError):
+        func(*args)

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from dualform import (LengthMismatch, Matrix, MetricSpace, NotNested,
-                      QuadraticForm, Singular, Subspace, adjugate,
-                      annihilator, b_linked, det, extend_basis,
-                      invert_matrix, kernel, linked_coset, make_field, rank,
-                      rref, solve)
+from dualform import (LengthMismatch, LinearMap, Matrix, MetricSpace,
+                      NotNested, ParseError, QuadraticForm, Singular,
+                      Subspace, ValidationError, adjugate, annihilator,
+                      b_linked, det, extend_basis, invert_matrix, kernel,
+                      linked_coset, make_field, rank, rref, solve)
 from dualform import cli, fields, linalg
 from dualform.linalg import (_echelon, _fold, _slot, _slots,
                              complete_to_ambient)
@@ -602,3 +602,32 @@ def test_a_wrong_width_input_is_refused(call):
     same way, as MetricSpace refuses a form over another field."""
     with pytest.raises(LengthMismatch):
         call()
+
+
+def test_public_matrix_entries_coerce_outside_scalars():
+    """mul_vec, LinearMap.apply, scale and solve's right-hand side read
+    their outside scalars through Field.scalar, as Matrix(...) does: over
+    GF(7) 1/2 is 4 and the text "4" is 4, so both give (3, 3), and a
+    scaled GF(7) matrix holds residues; a float or text outside the
+    grammar is refused, and a wrong width is still a LengthMismatch."""
+    F7 = make_field("prime", 7)
+    M = Matrix(F7, [[1, 2], [3, 4]])
+    for v in ([Fraction(1, 2), 3], ["4", 3], (4, 10)):
+        assert M.mul_vec(v) == (3, 3)
+        assert LinearMap(M).apply(v) == (3, 3)
+    half = M.scale(Fraction(1, 2))
+    assert half == Matrix(F7, [[4, 1], [5, 2]])
+    assert all(type(x) is int for row in half.data for x in row)
+    assert M.scale("2") == Matrix(F7, [[2, 4], [6, 1]])
+    assert solve(M, [Fraction(1, 2), "3"])[0] == solve(M, [4, 3])[0]
+    Q = Matrix(FQ, [[1, 2], [3, 4]])
+    for call, error in [(lambda: Q.mul_vec([1.5, 2]), ValidationError),
+                        (lambda: solve(Q, [0.5, 2]), ValidationError),
+                        (lambda: Q.scale(0.5), ValidationError),
+                        (lambda: M.mul_vec(["x", 1]), ParseError),
+                        (lambda: M.scale(None), ValidationError),
+                        (lambda: solve(M, ["1/2", 1]), ParseError),
+                        (lambda: M.mul_vec([1, 2, 3]), LengthMismatch),
+                        (lambda: solve(M, [1]), LengthMismatch)]:
+        with pytest.raises(error):
+            call()

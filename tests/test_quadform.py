@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from dualform import (LengthMismatch, Matrix, MetricSpace, NotInSubspace,
-                      QuadraticForm, Singular, Subspace, invert_matrix,
-                      linalg, rank, solve)
+                      QuadraticForm, Singular, Subspace, ValidationError,
+                      invert_matrix, linalg, rank, solve)
 from helpers import (ALL_FIELDS, F2, F3, FQ, hyperbolic_gf2, paper5,
                      rad_char2, random_instance, random_scalar, random_vector,
                      record_calls, record_parses)
@@ -23,6 +23,18 @@ class TestInit:
     def test_bool_index(self):
         with pytest.raises(LengthMismatch):
             QuadraticForm(FQ, [1, 2], {(False, True): 3})
+
+    @pytest.mark.parametrize("key", [0, (0,), (0, 1, 2), "01", (0, "1"),
+                                     frozenset({0, 1})], ids=repr)
+    def test_a_key_that_is_not_an_index_pair(self, key):
+        with pytest.raises(LengthMismatch):
+            QuadraticForm(FQ, [1, 2], {key: 3})
+
+    @pytest.mark.parametrize("upper", [[((0, 1), 3)], [(0, 1, 3)], 5, "01"],
+                             ids=repr)
+    def test_upper_that_is_not_a_mapping(self, upper):
+        with pytest.raises(ValidationError):
+            QuadraticForm(FQ, [1, 2], upper)
 
     def test_no_subspace_keyword(self):
         """S is always spanned from s_basis: no caller can hand in a

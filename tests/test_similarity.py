@@ -5,9 +5,10 @@ import pytest
 
 from dualform import (IsotropicVector, LinearMap, Matrix, MetricSpace,
                       QuadraticForm, RadicalConditionViolated, Singular,
-                      Subspace, ZeroRatio, annihilator, char2_normal_form,
-                      dualize, invert_matrix, reflection, theorem_psi_check,
-                      transpose_map, verify_similarity)
+                      Subspace, ZeroRatio, adapted_basis, annihilator,
+                      char2_normal_form, dualize, invert_matrix, linked_forms,
+                      reflection, theorem_psi_check, transpose_map,
+                      verify_similarity)
 from dualform import similarity
 from dualform.linalg import dot
 from helpers import (ALL_FIELDS, F2, F3, FQ, hyperbolic_gf2, paper5,
@@ -305,6 +306,29 @@ def test_theorem_psi_check_parses_a_text_ratio_once(monkeypatch):
     assert parsed == ["4"]
     assert report.ratio == 4 and report.primal_ok and report.dual_ok
     assert not theorem_psi_check(inst, psi, "2").dual_ok
+
+
+def test_reflection_reads_its_vector_once(monkeypatch):
+    """reflection reads s once, by one Matrix(...) coercion, and takes
+    Q(s) and the linked form f* from the coordinates that read gives:
+    each text entry is parsed once and no other outside vector is
+    read."""
+    inst = paper5()
+    adapted_basis(inst)
+    parsed = record_parses(monkeypatch, inst.field)
+    reads = []
+    raw = Matrix.__init__
+
+    def reading(M, field, data, cols=None):
+        reads.append(cols)
+        raw(M, field, data, cols)
+
+    monkeypatch.setattr(Matrix, "__init__", reading)
+    s = ["0", "1", "0", "0", "0"]
+    _, psi, f_star = reflection(inst, s)
+    assert parsed == s and reads == [5]
+    assert psi.apply((0, 1, 0, 0, 0)) == (0, -1, 0, 0, 0)
+    assert f_star == linked_forms(inst, (0, 1, 0, 0, 0)).representative
 
 
 def test_theorem_psi_check_asks_the_radical_condition_once(monkeypatch):
