@@ -352,11 +352,10 @@ def run(args):
     override = _field_from_flag(args.field) if args.field else None
     doc = None
     if getattr(args, "half_gram", False):
-        probe = override
-        if probe is None:
+        if override is None:
             doc = _document(_load_json(text))
-            probe = _field_from_doc(doc.get("field"))
-        if probe.characteristic() == 2:
+            override = _field_from_doc(doc.get("field"))
+        if override.characteristic() == 2:
             raise ValidationError("--half-gram requires characteristic != 2")
     if doc is None:
         doc = _document(_load_json(text))

@@ -82,7 +82,10 @@ def adapted_basis(inst):
 
 def _adapted_basis(inst):
     """adapted_basis, computed.  If the instance's own s_basis is already
-    radical-first it is reused; otherwise the radical's canonical rows
+    radical-first it is reused.  That is read off the radical's s_basis
+    coordinates, kept in canonical RREF: the first d s-vectors span R
+    exactly when those rows are the unit vectors e_0, ..., e_(d-1) of
+    F^m.  Otherwise the radical's canonical rows
     are completed inside S with S's canonical rows, by one d x m echelon
     of the radical's coordinates rad_c over those.  Row i of the span
     transform T has the s_basis coordinates of canonical row i, so
@@ -118,8 +121,7 @@ def _adapted_basis(inst):
     r_hat = annihilator(S)
     V = _dual_rows(S, r_hat)
     s_vectors = inst._basis
-    leading = s_vectors.submatrix(range(d), range(n))
-    if rad.subspace._coordinates(leading) is not None:
+    if rad.in_domain.basis == Matrix._units(F, range(d), m):
         coords = Matrix.identity(F, m)
         top = T.transpose().mul(V)
     else:

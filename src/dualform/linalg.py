@@ -135,7 +135,11 @@ class Matrix:
     read and return that form; a matrix built from ``Fraction`` rows
     clears them once, on first use, and keeps the result, and a matrix
     computed here builds its ``Fraction`` rows ``data`` only when an entry
-    is first read.  Equality and hash depend on the shape and entries.  With
+    is first read.  ``_ints()`` reads the rows as (ints, dens) over either
+    field: over the rationals the cleared rows, over GF(p) ``data`` over
+    denominators 1, which it stores nowhere, so a GF(p) matrix keeps
+    ``_q`` None and its transposes and submatrices read ``data``.
+    Equality and hash depend on the shape and entries.  With
     e_k the denominators of B's cleared rows and L their lcm, row i of A B
     is the int dot products of A's row i, entry k times L / e_k, with the
     columns of B's int rows, over dens[i] * L.
@@ -200,10 +204,15 @@ class Matrix:
         return data
 
     def _ints(self):
-        """The cleared rows (ints, dens) of a rational matrix."""
-        if self._q is None:
-            self._q = _int_rows(self)
-        return self._q
+        """The rows as (ints, dens), row i being ints[i] / dens[i]: over
+        the rationals the cleared rows, kept in _q; over GF(p) the
+        residue rows data over denominators 1, stored nowhere."""
+        q = self._q
+        if q is None:
+            if self.field.characteristic():
+                return self.data, [1] * self.rows
+            q = self._q = _int_rows(self)
+        return q
 
     @classmethod
     def _units(cls, field, idx, n):
@@ -337,12 +346,11 @@ def dot(F, a, x):
 def _row_dots(A, B):
     """The diagonal of A B^t without the product."""
     p = A.field.characteristic()
-    if p:
-        return [sum(map(operator.mul, a, b)) % p
-                for a, b in zip(A.data, B.data)]
     (a, da), (b, db) = A._ints(), B._ints()
-    return [Fraction(sum(map(operator.mul, x, y)), u * v)
-            for x, y, u, v in zip(a, b, da, db)]
+    dots = [sum(map(operator.mul, x, y)) for x, y in zip(a, b)]
+    if p:
+        return [s % p for s in dots]
+    return [Fraction(s, u * v) for s, u, v in zip(dots, da, db)]
 
 
 def vec_add(F, x, y):
@@ -638,12 +646,9 @@ def _null_rows(R, pivots, free):
     F, k = R.field, R.cols
     X = R.submatrix(range(len(pivots)), free).transpose()
     p = F.characteristic()
-    if p:
-        cols = [[-x % p for x in col] for col in X.data]
-        dens = [1] * len(cols)
-    else:
-        ints, dens = X._ints()
-        cols = [[-x for x in col] for col in ints]
+    ints, dens = X._ints()
+    cols = [[-x % p for x in col] if p else [-x for x in col]
+            for col in ints]
     rows = []
     for f, col, d in zip(free, cols, dens):
         v = [0] * k
@@ -656,9 +661,8 @@ def _null_rows(R, pivots, free):
 
 def _flipped(M):
     """M with its rows and its columns in reverse order."""
-    F = M.field
-    ints, dens = (M.data, [1] * M.rows) if F.characteristic() else M._ints()
-    return Matrix._cleared(F, [row[::-1] for row in reversed(ints)],
+    ints, dens = M._ints()
+    return Matrix._cleared(M.field, [row[::-1] for row in reversed(ints)],
                            dens[::-1], M.cols)
 
 
@@ -726,8 +730,7 @@ def _dual_rows(S, N):
     so the difference is N's row negated with its entry at c cleared."""
     F, n = S.field, S.ambient_dim
     p = F.characteristic()
-    rows, dens = (N.basis.data, [1] * N.dim) if p else N.basis._ints()
-    led = dict(zip(N.pivots, zip(rows, dens)))
+    led = dict(zip(N.pivots, zip(*N.basis._ints())))
     out, out_dens = [], []
     for c in S.pivots:
         if c in led:

@@ -213,10 +213,10 @@ class MetricSpace:
             self._basis).row(0)
 
     def eval_q(self, coords):
-        """Value of the form at the given s_basis coordinates."""
-        if len(coords) != self.m:
-            raise LengthMismatch("coordinate length != m")
-        return self._q_at([self.field.scalar(x) for x in coords])
+        """Value of the form at the given s_basis coordinates, read like
+        eval_b's through Matrix(field, [coords], cols=m): LengthMismatch
+        unless there are m of them, each coerced through field.scalar."""
+        return self._q_at(Matrix(self.field, [coords], cols=self.m).row(0))
 
     def _q_at(self, c):
         """eval_q at canonical coordinates c, by the coefficient loop."""
