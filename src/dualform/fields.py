@@ -7,7 +7,8 @@ Scalars are plain Python values: ``fractions.Fraction`` for the rationals and
 so structural equality of scalars is sound, and a scalar is zero exactly when
 it is falsy.  The Field methods are the scalar API and own the parsing and
 formatting of the textual encoding ("num/den" or "num" for rationals, decimal
-residues for GF(p)).  ``scalar`` takes a ``Fraction``, text and, over GF(p),
+residues for GF(p)); ``parse`` refuses a value that is not a ``str`` with
+``ParseError``.  ``scalar`` takes a ``Fraction``, text and, over GF(p),
 an ``int`` directly and any other exact number (an ``int`` over the
 rationals, a ``Decimal``, a ``bool``) by one ``Fraction`` coercion; GF(p)
 reduces a fraction as numerator times inverse denominator.  A ``float``,
@@ -36,6 +37,10 @@ _MR_BASES = (2, 3, 5, 7)
 
 
 def _match(grammar, text):
+    """text, stripped, if it is a str matching grammar; ParseError
+    otherwise."""
+    if not isinstance(text, str):
+        raise ParseError(f"{text!r} is not text")
     text = text.strip()
     if not grammar.fullmatch(text):
         raise ParseError(f"{text!r} does not match {grammar.pattern}")

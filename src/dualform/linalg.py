@@ -10,10 +10,22 @@ in canonical reduced row-echelon form, so subspace equality is structural.
 import operator
 import sys
 from array import array
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .errors import LengthMismatch, NotNested, Singular
+from .errors import LengthMismatch, NotNested, Singular, ValidationError
+
+
+def _sequence(x):
+    """x, if it is a sequence other than text (a str, bytes or
+    bytearray); ValidationError for anything else, a mapping or a set
+    among them."""
+    if type(x) is not list and type(x) is not tuple and (
+            isinstance(x, (str, bytes, bytearray))
+            or not isinstance(x, Sequence)):
+        raise ValidationError(f"expected a sequence, got {type(x).__name__}")
+    return x
 
 
 def _canon(p, xs):
@@ -112,10 +124,12 @@ class Matrix:
     """Dense matrix over a Field; rows are tuples of canonical scalars.
 
     ``Matrix(field, data, cols)`` is the public constructor and the one
-    width check of outside vectors: it raises ``LengthMismatch`` unless
-    every row has ``cols`` entries (by default, as many as the first row),
-    before it coerces any entry through ``field.scalar``, and ``mul``
-    raises it for a product of matrices over different fields.  The
+    check of outside vectors: it raises ``ValidationError`` unless data
+    and every row are sequences other than text (see _sequence), and
+    ``LengthMismatch`` unless every row has ``cols`` entries (by default,
+    as many as the first row), before it coerces any entry through
+    ``field.scalar``; ``mul`` raises ``LengthMismatch`` for a product of
+    matrices over different fields.  The
     public methods that take outside scalars read them the same way:
     ``mul_vec``, and so ``solve``'s right-hand side and
     ``LinearMap.apply``, through ``Matrix(field, [v], cols)``, and
@@ -155,10 +169,12 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "data", "_q")
 
     def __init__(self, field, data, cols=None):
-        data = tuple(data)
+        data = tuple(_sequence(data))
         if cols is None:
-            cols = len(data[0]) if data else 0
+            cols = len(_sequence(data[0])) if data else 0
         for row in data:
+            if type(row) is not list and type(row) is not tuple:
+                _sequence(row)
             if len(row) != cols:
                 raise LengthMismatch(f"matrix row length != {cols}")
         self.field = field
@@ -581,6 +597,11 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, field, ambient_dim, rows):
+        """Span of the outside rows, read by Matrix(field, rows,
+        ambient_dim); ValidationError unless ambient_dim is an int >= 0."""
+        if type(ambient_dim) is not int or ambient_dim < 0:
+            raise ValidationError(f"ambient dimension {ambient_dim!r} is "
+                                  "not an int >= 0")
         return cls._span(Matrix(field, rows, cols=ambient_dim))
 
     @classmethod

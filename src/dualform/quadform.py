@@ -10,8 +10,8 @@ values.
 from collections.abc import Mapping
 
 from .errors import LengthMismatch, NotInSubspace, Singular, ValidationError
-from .linalg import (Matrix, Subspace, _canon, _row_dots, kernel, rank, rref,
-                     vec_add)
+from .linalg import (Matrix, Subspace, _canon, _row_dots, _sequence, kernel,
+                     rank, rref, vec_add)
 
 
 class QuadraticForm:
@@ -27,7 +27,7 @@ class QuadraticForm:
 
     def __init__(self, field, diag, upper=None):
         self.field = field
-        self.diag = tuple(field.scalar(x) for x in diag)
+        self.diag = tuple(field.scalar(x) for x in _sequence(diag))
         self.m = len(self.diag)
         if not isinstance(upper, (Mapping, type(None))):
             raise ValidationError("upper must map index pairs to scalars")
@@ -140,6 +140,8 @@ class MetricSpace:
                                  R.submatrix(range(len(pivots)), range(n)))
         if len(pivots) != self.m:
             raise LengthMismatch("s_basis is linearly dependent")
+        if not isinstance(form, QuadraticForm):
+            raise ValidationError("form must be a QuadraticForm")
         if form.m != self.m:
             raise LengthMismatch("coefficient table size != dim S")
         if form.field != field:

@@ -8,7 +8,7 @@ the plain matrix transpose.
 
 from .dual import _check_radical_condition, _linked_form, dualize
 from .errors import (IsotropicVector, LengthMismatch, NotInSubspace,
-                     Singular, ZeroRatio)
+                     Singular, ValidationError, ZeroRatio)
 from .linalg import Matrix, _canon, rank
 from .quadform import QuadraticForm
 
@@ -19,6 +19,8 @@ class LinearMap:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
+        if not isinstance(matrix, Matrix):
+            raise ValidationError("a linear map is given by a Matrix")
         if matrix.rows != matrix.cols:
             raise LengthMismatch("linear map matrix must be square")
         if rank(matrix) != matrix.rows:

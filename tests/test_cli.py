@@ -509,18 +509,25 @@ def test_module_entry_point_prints_what_main_prints(capsys):
         "radical"])
 def test_input_document_is_loaded_once(capsys, monkeypatch, argv):
     """The --half-gram characteristic probe and the problem parser share
-    one loaded document."""
-    loads = []
-    load = cli._load_json
+    one loaded document, and the field the probe builds from it: a field
+    given by --field is built from no document."""
+    loads, built = [], []
+    load, field_from_doc = cli._load_json, cli._field_from_doc
 
     def counting(text):
         loads.append(len(text))
         return load(text)
 
+    def building(doc):
+        built.append(doc)
+        return field_from_doc(doc)
+
     monkeypatch.setattr(cli, "_load_json", counting)
+    monkeypatch.setattr(cli, "_field_from_doc", building)
     code, _, err = run_cli(capsys, argv[0], fx("paper5.json"), *argv[1:])
     assert (code, err) == (0, "")
     assert len(loads) == 1
+    assert len(built) == (0 if "--field" in argv else 1)
 
 
 def test_half_gram_override_is_checked_before_the_input(capsys, tmp_path):

@@ -624,3 +624,79 @@ def test_dualize_makes_no_per_entry_field_calls(monkeypatch, fixture):
     dualize(inst)
     assert calls == (["mul"] if inst.field.characteristic() != 2 else []), \
         calls
+
+
+@pytest.mark.parametrize("make", [
+    paper5, hyperbolic_gf2, lambda: _hyperbolic(F2, 8, 6, 2, False)],
+    ids=["paper5", "hyperbolic-gf2", "gf2-radical-last"])
+def test_double_dual_check_fails_on_a_changed_second_dual(monkeypatch, make):
+    """double_dual_check compares the second dual with the original, so a
+    second dual with one diagonal coefficient changed makes it False."""
+    assert double_dual_check(make()) is True
+    real = dual.dualize
+    seen = []
+
+    def dualize_changed(inst):
+        res = real(inst)
+        seen.append(inst)
+        if len(seen) == 2:
+            F, form = res.dual.field, res.dual.form
+            diag = list(form.diag)
+            diag[0] = F.add(diag[0], F.one)
+            res.dual.form = QuadraticForm(F, diag, form.upper)
+        return res
+
+    monkeypatch.setattr(dual, "dualize", dualize_changed)
+    assert double_dual_check(make()) is False
+    assert len(seen) == 2
+
+
+@pytest.mark.parametrize("make", [
+    paper5, hyperbolic_gf2, lambda: _hyperbolic(F2, 8, 6, 2, False)],
+    ids=["paper5", "hyperbolic-gf2", "gf2-radical-last"])
+def test_converse_relation_check_fails_on_a_changed_dual_verdict(
+        monkeypatch, make):
+    """converse_relation_check compares the primal and dual-side verdicts,
+    so a dual-side b_linked that answers the opposite makes it False, on
+    a linked pair and on an unlinked one."""
+    inst = make()
+    rad = inst.radical().subspace
+    x = next(v for v in inst.s_basis if not rad.contains(v))
+    linked = (linked_forms(inst, x).representative, x)
+    unlinked = ((inst.field.zero,) * inst.n, x)
+    assert [b_linked(inst, *pair) for pair in (linked, unlinked)] == \
+        [True, False]
+    for pair in (linked, unlinked):
+        assert converse_relation_check(inst, [pair]) is True
+    real = dual.b_linked
+
+    def b_linked_changed(on, a_star, y):
+        verdict = real(on, a_star, y)
+        return verdict if on is inst else not verdict
+
+    monkeypatch.setattr(dual, "b_linked", b_linked_changed)
+    for pair in (linked, unlinked):
+        assert converse_relation_check(inst, [pair]) is False
+
+
+@pytest.mark.parametrize("F", [FQ, F2, F3], ids=repr)
+@pytest.mark.parametrize("first, calls", [(True, 0), (False, 1)],
+                         ids=["radical-first", "radical-last"])
+def test_the_radical_first_test_reads_the_radical_coordinates(
+        monkeypatch, F, first, calls):
+    """Whether s_basis is radical-first is read off the radical's s_basis
+    coordinates, with no coordinate solve; only the completion of a
+    radical that is not first solves for the radical's coordinates."""
+    inst = _hyperbolic(F, 16, 12, 2, first)
+    inst.radical()
+    seen = []
+    coordinates = Subspace._coordinates
+
+    def counting(S, V):
+        seen.append(V.rows)
+        return coordinates(S, V)
+
+    monkeypatch.setattr(Subspace, "_coordinates", counting)
+    ab = adapted_basis(inst)
+    assert len(seen) == calls
+    assert (ab.coords == Matrix.identity(F, inst.m)) == first

@@ -155,7 +155,8 @@ def test_adapted_coords_are_the_coordinates_of_a(F, data):
     """Column j < m of adapted_basis(inst).coords holds the s_basis
     coordinates of column j of a, also with s_basis reversed, which puts
     a radical of leading zeros last, on an instance that computes its
-    span transform only when asked."""
+    span transform only when asked.  coords is the identity exactly when
+    the first d s_basis vectors lie in the radical, d its dimension."""
     inst = data.draw(instances(F))
     m = inst.m
     if data.draw(st.booleans()):
@@ -166,6 +167,9 @@ def test_adapted_coords_are_the_coordinates_of_a(F, data):
     s_vectors = ab.a.submatrix(range(inst.n), range(m)).transpose()
     assert ab.coords == inst.coords_matrix(list(s_vectors.data))
     assert ab.coords.transpose().mul(inst._basis) == s_vectors
+    rad = inst.radical()
+    first = all(rad.subspace.contains(v) for v in inst.s_basis[:rad.dim])
+    assert (ab.coords == Matrix.identity(F, m)) == first
 
 
 @FIELDS

@@ -11,7 +11,15 @@ A malformed scalar is one ``Field.scalar`` refuses: a float (integral,
 NaN or infinite ones too), a complex number, ``None``, bytes, a list, an
 object, a ``Decimal`` NaN or infinity, text outside the field's grammar
 or with a zero denominator, and over GF(p) a fraction whose denominator p
-divides."""
+divides.
+
+A malformed container is a value that stands where a vector, a matrix,
+a form's diagonal, a map or a form belongs and is none: ``None``, an int,
+text or bytes (of the right length, too), a mapping or a set in place of
+a sequence, a bare ``list`` in place of a ``Matrix``, a diagonal in place
+of a ``QuadraticForm``, and an ambient dimension that is not an int of at
+least 0.  Each is refused where it enters, not read by its length, keys
+or characters."""
 
 from decimal import Decimal
 from fractions import Fraction
@@ -68,6 +76,21 @@ def bad_rows(draw, F, count, width):
                          max_size=count))
     rows[draw(st.integers(0, count - 1))] = draw(bad_vectors(F, width))
     return rows
+
+
+def bad_containers(width):
+    """Values that are not a vector of width scalars, though some have
+    width entries."""
+    return st.sampled_from([None, 7, "1" * width, b"1" * width,
+                            {j: 1 for j in range(width)}, {"1"}])
+
+
+def bad_matrices(width):
+    """Matrix data that is a bad container, or holds one as a row."""
+    return st.one_of(bad_containers(width), st.lists(
+        st.one_of(bad_containers(width), st.just([0] * width)),
+        min_size=1, max_size=3).filter(
+            lambda rows: not all(isinstance(r, list) for r in rows)))
 
 
 def other_field(draw, F):
@@ -195,6 +218,27 @@ ENTRIES = {
     "PrimeField": lambda draw, F, inst: (PrimeField, draw(st.sampled_from(
         [7.0, 11.0, "7", True, Fraction(7), Decimal(7), None, 4, 1, -7,
          2**31]))),
+    "Matrix.container": lambda draw, F, inst: (
+        Matrix, F, draw(bad_matrices(inst.n))),
+    "Subspace.from_rows.container": lambda draw, F, inst: (
+        Subspace.from_rows, F, inst.n, draw(bad_matrices(inst.n))),
+    "Subspace.from_rows.ambient_dim": lambda draw, F, inst: (
+        Subspace.from_rows, F, draw(st.sampled_from(
+            [None, True, -1, 1.0, "1"])), [[F.one]]),
+    "coords_of.container": lambda draw, F, inst: (
+        inst.coords_of, draw(bad_containers(inst.n))),
+    "eval_q.container": lambda draw, F, inst: (
+        inst.eval_q, draw(bad_containers(inst.m))),
+    "QuadraticForm.container": lambda draw, F, inst: (
+        QuadraticForm, F, draw(bad_containers(inst.m))),
+    "LinearMap.container": lambda draw, F, inst: (
+        LinearMap, draw(st.sampled_from(
+            [[[F.one] * inst.n] * inst.n, None, ((1,),), "1"]))),
+    "MetricSpace.form": lambda draw, F, inst: (
+        MetricSpace, F, inst.n, inst.s_basis, draw(st.sampled_from(
+            [None, {}, list(inst.form.diag), "0" * inst.m]))),
+    "Field.parse.container": lambda draw, F, inst: (
+        F.parse, draw(st.sampled_from([None, 3, b"1", ["1"], Fraction(1)]))),
     "make_field": lambda draw, F, inst: (make_field, *draw(st.sampled_from(
         [(3,), (None,), (b"prime", 7), ("prime", 7.0), ("prime", "7"),
          ("prime",), ("prime", 9), ("finite", 7)]))),
@@ -210,3 +254,14 @@ def test_every_public_entry_refuses_bad_outside_values(name, data):
     func, *args = ENTRIES[name](data.draw, F, inst)
     with pytest.raises(AlgebraError):
         func(*args)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_rows_of_text_scalars_stay_valid(F):
+    """The container check refuses text in place of a row, not text
+    scalars in a row."""
+    assert Matrix(F, [["1", "2"]]) == Matrix(F, [[1, 2]])
+    inst = MetricSpace(F, 2, [("1", "0"), ["0", "1"]],
+                       QuadraticForm(F, ("1", "2")))
+    assert inst.eval_q(["1", "1"]) == F.scalar(3)
+    assert inst.coords_of(("1", "1")) == (F.one, F.one)

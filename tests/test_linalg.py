@@ -576,6 +576,7 @@ def test_equality_and_hash_see_the_shape(F):
     lambda: paper5().coords_of((0, 1, 0, 0, 0, 0)),
     lambda: paper5().from_coords((1, 2)),
     lambda: paper5().eval_b((1, 0), (0, 1)),
+    lambda: paper5().eval_q((1, 0)),
     lambda: Subspace.from_rows(F3, 3, [[1, 0], [0, 1]]),
     lambda: Subspace.from_rows(FQ, 3, [[1, 0]]).coordinates((1, 0)),
     lambda: Matrix(F3, [[1, 2], [2, 1]]).mul_vec((1, 2, 0)),
@@ -589,16 +590,15 @@ def test_equality_and_hash_see_the_shape(F):
     lambda: linked_coset(paper5(), (0, 1, 0, 0, 0)).members(["x", None]),
     lambda: Matrix(FQ, [[1, 2]]).mul(Matrix(F3, [[1], [2]])),
 ], ids=["metric-space-basis", "coords-matrix", "coords-of", "from-coords",
-        "eval-b", "from-rows", "coordinates", "mul-vec", "b-linked",
+        "eval-b", "eval-q", "from-rows", "coordinates", "mul-vec", "b-linked",
         "linked-coset", "members", "matrix-cols", "matrix-ragged",
         "coords-of-bad-text", "from-coords-float", "members-bad-scalars",
         "mul-mixed-fields"])
 def test_a_wrong_width_input_is_refused(call):
     """Every vector or coefficient list from outside has its width checked
-    where it enters: by the Matrix it is read into, or by the product or
-    eval_q call it first feeds.  The width is checked before any entry is
-    coerced, so a wrong-width input with bad entries is a LengthMismatch
-    too.  A product of matrices over different fields is refused the
+    where it enters: by the Matrix it is read into, or by the product it
+    first feeds.  The width is checked before any entry is coerced, so a
+    wrong-width input with bad entries is a LengthMismatch too.  A product of matrices over different fields is refused the
     same way, as MetricSpace refuses a form over another field."""
     with pytest.raises(LengthMismatch):
         call()
@@ -631,3 +631,17 @@ def test_public_matrix_entries_coerce_outside_scalars():
                         (lambda: solve(M, [1]), LengthMismatch)]:
         with pytest.raises(error):
             call()
+
+
+@pytest.mark.parametrize("F", [F2, F3, fields.PrimeField(2**31 - 1)],
+                         ids=repr)
+def test_gfp_rows_are_read_without_clearing(F):
+    """Over GF(p) _ints() is the residue rows data over denominators 1,
+    stored nowhere: _q stays None, so a later transpose or submatrix
+    still reads data."""
+    M = Matrix(F, [[1, 0, 2 % F.p], [0, 1, 1]])
+    ints, dens = M._ints()
+    assert ints is M.data and dens == [1, 1]
+    assert M._q is None
+    assert M.transpose() == Matrix(F, [[1, 0], [0, 1], [2 % F.p, 1]])
+    assert M._q is None
