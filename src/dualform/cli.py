@@ -349,21 +349,22 @@ def run(args):
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    override = _field_from_flag(args.field) if args.field else None
+    # the --field override, or the field the --half-gram probe built
+    field = _field_from_flag(args.field) if args.field else None
     doc = None
     if getattr(args, "half_gram", False):
-        if override is None:
+        if field is None:
             doc = _document(_load_json(text))
-            override = _field_from_doc(doc.get("field"))
-        if override.characteristic() == 2:
+            field = _field_from_doc(doc.get("field"))
+        if field.characteristic() == 2:
             raise ValidationError("--half-gram requires characteristic != 2")
     if doc is None:
         doc = _document(_load_json(text))
     if args.command == "adjugate":
-        field = override or _field_from_doc(doc.get("field"))
+        field = field or _field_from_doc(doc.get("field"))
         out = _cmd_adjugate(doc, args, field)
     else:
-        inst = parse_problem(doc, field_override=override)
+        inst = parse_problem(doc, field_override=field)
         out = _COMMANDS[args.command](inst, args)
     payload = json.dumps(out, indent=2) + "\n"
     if args.output:
