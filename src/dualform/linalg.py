@@ -12,6 +12,7 @@ import sys
 from array import array
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm, prod
 
 from .errors import LengthMismatch, NotNested, Singular, ValidationError
@@ -28,6 +29,14 @@ def _sequence(x):
     return x
 
 
+def _dimension(n):
+    """n, if it is an int >= 0 other than a bool; ValidationError for
+    anything else."""
+    if type(n) is not int or n < 0:
+        raise ValidationError(f"dimension {n!r} is not an int >= 0")
+    return n
+
+
 def _canon(p, xs):
     """The entries of xs as a tuple, reduced into [0, p) over GF(p); over
     the rationals (p = 0) Fraction arithmetic keeps them canonical."""
@@ -39,7 +48,8 @@ def _canon(p, xs):
 # 16 bytes; a 16-byte slot is two 8-byte array items, low half first, and
 # is only ever packed from entries below 2^64.  _SLOTS[b] is (nb, code)
 # for the narrowest slot of at least b bits, with code the array type
-# code of its items; 1-byte slots convert through bytes, the cheapest way.
+# code of its items; 1-byte slots convert through bytes, the cheapest way,
+# and are reduced (and scaled) by bytes.translate with a _scaled table.
 # A 16-byte slot is read folded.  Its value v <= p + k (p - 1)^2 < 2^94,
 # for p < 2^31 and k < 2^32 rows or columns, is lo + hi 2^63 with
 # hi < 2^31; with M the low 63 bits of every slot and r = 2^63 mod p,
@@ -74,6 +84,14 @@ def _pack(row, nb, code):
     return int.from_bytes(a, "little")
 
 
+@cache
+def _scaled(p, c):
+    """The bytes.translate table of b -> c b mod p for b < 256, which reads
+    1-byte GF(p) slots reduced and multiplied by c in one call; built once
+    per process for each (p, c), p < 256 unless c = 1."""
+    return bytes([c * b % p for b in range(256)])
+
+
 def _fold(nb, count, p):
     """(M, r) to read count 16-byte slots over GF(p), else None."""
     if nb == 16:
@@ -86,8 +104,6 @@ def _slots(x, count, nb, code, fold=None):
     16-byte ones up to multiples of p, folded by _fold(16, count, p)."""
     if count == 1:
         return (x,)
-    if nb == 1:
-        return x.to_bytes(count, "little")
     if fold:
         mask, r = fold
         x = (x & mask) + ((x >> 63) & mask) * r
@@ -125,9 +141,10 @@ class Matrix:
 
     ``Matrix(field, data, cols)`` is the public constructor and the one
     check of outside vectors: it raises ``ValidationError`` unless data
-    and every row are sequences other than text (see _sequence), and
-    ``LengthMismatch`` unless every row has ``cols`` entries (by default,
-    as many as the first row), before it coerces any entry through
+    and every row are sequences other than text (see _sequence) and a
+    given ``cols`` is an int >= 0 (not a bool), and ``LengthMismatch``
+    unless every row has ``cols`` entries (by default, as many as the
+    first row), before it coerces any entry through
     ``field.scalar``; ``mul`` raises ``LengthMismatch`` for a product of
     matrices over different fields.  The
     public methods that take outside scalars read them the same way:
@@ -163,7 +180,9 @@ class Matrix:
     multiply-add per entry of A, unpacked once.  A slot sums k products of
     residues, so it stays at most k (p - 1)^2 and never carries into the
     next: the slot is the narrowest of 1, 2, 4, 8 or 16 bytes that holds
-    that bound.
+    that bound.  A row of 1-byte slots is reduced mod p as it is unpacked,
+    by one bytes.translate (see _scaled); wider slots are reduced entry by
+    entry.
     """
 
     __slots__ = ("field", "rows", "cols", "data", "_q")
@@ -172,6 +191,8 @@ class Matrix:
         data = tuple(_sequence(data))
         if cols is None:
             cols = len(_sequence(data[0])) if data else 0
+        else:
+            _dimension(cols)
         for row in data:
             if type(row) is not list and type(row) is not tuple:
                 _sequence(row)
@@ -307,6 +328,13 @@ class Matrix:
                 [[sum(map(operator.mul, row, col)) for col in cols]
                  for row in a], [d * L for d in da]), m)
         nb, code = _slot(self.cols * (p - 1) ** 2 + 1)
+        if nb == 1:
+            table = _scaled(p, 1)
+            packed = [int.from_bytes(bytes(row), "little")
+                      for row in other.data]
+            return Matrix._trusted(F, [
+                sum(map(operator.mul, row, packed)).to_bytes(
+                    m, "little").translate(table) for row in self.data], m)
         fold = _fold(nb, m, p)
         packed = [_pack(row, nb, code) for row in other.data]
         return Matrix._trusted(F, [
@@ -394,7 +422,9 @@ def _echelon(M, transform):
     slot j, T's entry j in slot k + j, so T's identity row i is the bit
     1 << w (k + i) for slots of w bits.  Only the pivot row is unpacked;
     it is reduced, multiplied by the inverse of its pivot and packed
-    again, so its entries lie in [0, p).  Every other row i, with f its
+    again, so its entries lie in [0, p): 1-byte slots by one
+    bytes.translate of the row's bytes (see _scaled), wider ones entry by
+    entry.  Every other row i, with f its
     slot c read by shift and mask and reduced mod p, takes
     row_i += (p - f) * pivot, one multiply-add that turns slot c into a
     multiple of p and adds at most (p - 1)^2 to any slot.  A row gets one
@@ -451,9 +481,13 @@ def _echelon(M, transform):
             d = d * col[pr] % p
             inv = F.inv(col[pr])
             col[pr], col[r] = col[r], 0
-            a[r] = pivot = _pack([inv * x % p for x in
-                                  _slots(a[r], width, nb, code, fold)],
-                                 nb, code)
+            if nb == 1:
+                a[r] = pivot = int.from_bytes(a[r].to_bytes(
+                    width, "little").translate(_scaled(p, inv)), "little")
+            else:
+                a[r] = pivot = _pack([inv * x % p for x in
+                                      _slots(a[r], width, nb, code, fold)],
+                                     nb, code)
             for i, f in enumerate(col):
                 if f:
                     a[i] += (p - f) * pivot
@@ -463,8 +497,13 @@ def _echelon(M, transform):
                 break
         if not transform:
             del a[r:]
-        rows = [[x % p for x in _slots(row, width, nb, code, fold)]
-                for row in a]
+        if nb == 1:
+            table = _scaled(p, 1)
+            rows = [row.to_bytes(width, "little").translate(table)
+                    for row in a]
+        else:
+            rows = [[x % p for x in _slots(row, width, nb, code, fold)]
+                    for row in a]
         return (Matrix._trusted(F, rows, width), pivots,
                 sign * d % p if r == n == k else F.zero)
     rows, dens = M._ints()
@@ -599,10 +638,7 @@ class Subspace:
     def from_rows(cls, field, ambient_dim, rows):
         """Span of the outside rows, read by Matrix(field, rows,
         ambient_dim); ValidationError unless ambient_dim is an int >= 0."""
-        if type(ambient_dim) is not int or ambient_dim < 0:
-            raise ValidationError(f"ambient dimension {ambient_dim!r} is "
-                                  "not an int >= 0")
-        return cls._span(Matrix(field, rows, cols=ambient_dim))
+        return cls._span(Matrix(field, rows, cols=_dimension(ambient_dim)))
 
     @classmethod
     def _span(cls, M):

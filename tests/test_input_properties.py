@@ -17,9 +17,9 @@ A malformed container is a value that stands where a vector, a matrix,
 a form's diagonal, a map or a form belongs and is none: ``None``, an int,
 text or bytes (of the right length, too), a mapping or a set in place of
 a sequence, a bare ``list`` in place of a ``Matrix``, a diagonal in place
-of a ``QuadraticForm``, and an ambient dimension that is not an int of at
-least 0.  Each is refused where it enters, not read by its length, keys
-or characters."""
+of a ``QuadraticForm``, and an ambient dimension or column count that is
+not an int of at least 0, with rows it would otherwise fit.  Each is
+refused where it enters, not read by its length, keys or characters."""
 
 from decimal import Decimal
 from fractions import Fraction
@@ -222,6 +222,15 @@ ENTRIES = {
         Matrix, F, draw(bad_matrices(inst.n))),
     "Subspace.from_rows.container": lambda draw, F, inst: (
         Subspace.from_rows, F, inst.n, draw(bad_matrices(inst.n))),
+    "Matrix.cols": lambda draw, F, inst: (
+        Matrix, F, *draw(st.sampled_from(
+            [([], -3), ([], "x"), ([], 1.0), ([[F.one]], True),
+             ([], False)]))),
+    "MetricSpace.n": lambda draw, F, inst: (
+        MetricSpace, *draw(st.sampled_from(
+            [(F, -2, [], QuadraticForm(F, [])),
+             (F, True, [[F.one]], QuadraticForm(F, [F.one])),
+             (F, False, [], QuadraticForm(F, []))]))),
     "Subspace.from_rows.ambient_dim": lambda draw, F, inst: (
         Subspace.from_rows, F, draw(st.sampled_from(
             [None, True, -1, 1.0, "1"])), [[F.one]]),

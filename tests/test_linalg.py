@@ -10,7 +10,7 @@ from dualform import (LengthMismatch, LinearMap, Matrix, MetricSpace,
                       b_linked, det, extend_basis, invert_matrix, kernel,
                       linked_coset, make_field, rank, rref, solve)
 from dualform import cli, fields, linalg
-from dualform.linalg import (_echelon, _fold, _slot, _slots,
+from dualform.linalg import (_echelon, _fold, _scaled, _slot, _slots,
                              complete_to_ambient)
 from helpers import (FQ, F2, F3, F5, echelon_gfp_reference, matrix_of_rank,
                      mul_gfp_reference, paper5, random_subspace_basis,
@@ -498,15 +498,19 @@ def test_packed_mul_matches_reference(F):
         assert row.mul(A).row(0) == mul_gfp_reference(row, A).row(0)
 
 
-@pytest.mark.parametrize("p, n, nb", [(2, 6, 1), (5, 20, 2), (257, 5, 4),
-                                      (2**31 - 1, 3, 8), (2**31 - 1, 6, 16)])
+@pytest.mark.parametrize("p, n, nb", [(2, 6, 1), (3, 63, 1), (5, 15, 1),
+                                      (3, 64, 2), (5, 16, 2), (5, 20, 2),
+                                      (257, 5, 4), (2**31 - 1, 3, 8),
+                                      (2**31 - 1, 6, 16)])
 def test_every_slot_width_matches_reference(p, n, nb):
     """Each slot width, 1 to 16 bytes, is chosen for some field and size
     and gives the reference results on random and all p - 1 entries, and
     on rows e_c - e_(n-1) above a last row of ones ending in -1: each of
     the first n - 1 pivots adds (p - 1)^2 to the last slot of that row,
     which then reaches p - 1 + (n - 1) (p - 1)^2, past the next narrower
-    width."""
+    width.  GF(3) at n = 63 and GF(5) at n = 15 are the widest 1-byte
+    cases, whose last slot reaches 250 and 228, next to their first
+    2-byte neighbours."""
     F = make_field("prime", p)
     assert _slot(p + n * (p - 1) ** 2)[0] == nb
     assert _slot(n * (p - 1) ** 2 + 1)[0] == nb
@@ -520,6 +524,29 @@ def test_every_slot_width_matches_reference(p, n, nb):
         assert _echelon_rows(M, True) == echelon_gfp_reference(M, True)
         assert _echelon(M, True)[2] == det(M)
         assert M.mul(M) == mul_gfp_reference(M, M)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_scaled_tables_are_the_residues_times_c(p):
+    """Every table that can read a 1-byte slot, c = 1 or a pivot's
+    inverse and p the primes whose 1-byte slots hold p + (p - 1)^2, maps
+    each byte b to c b mod p, and is built once per (p, c)."""
+    assert _slot(p + (p - 1) ** 2)[0] == 1
+    for c in range(1, p):
+        table = _scaled(p, c)
+        assert [bytes([b]).translate(table)[0] for b in range(256)] == \
+            [c * b % p for b in range(256)]
+        assert _scaled(p, c) is table
+
+
+def test_widest_one_byte_product_matches_reference():
+    """A GF(3) product with k = 63 and every entry 2 fills each 1-byte
+    slot to 63 * 4 = 252 before it is reduced."""
+    k = 63
+    assert _slot(k * 2 ** 2 + 1)[0] == 1
+    A, B = Matrix(F3, [[2] * k] * 3), Matrix(F3, [[2] * 5] * k)
+    assert A.mul(B) == mul_gfp_reference(A, B)
+    assert A.mul(B).data == ((252 % 3,) * 5,) * 3
 
 
 def test_slot_at_the_cli_limit_holds_the_bound():
