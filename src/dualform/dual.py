@@ -11,6 +11,8 @@ the middle Gram block in an adapted basis) implemented by dualize(), and
 coset chasing via linked_coset(), kept separate so tests can cross-validate.
 """
 
+from itertools import compress, repeat
+
 from .errors import NotInSHat, RadicalConditionViolated
 from .linalg import (Matrix, Subspace, _canon, _dual_rows, _particular,
                      _row_dots, annihilator, invert_matrix, kernel, vec_add)
@@ -243,7 +245,11 @@ def dualize(inst):
         half = F.halve(F.one)
         diag = _canon(p, [half * g22_hat[i, i] for i in range(t)])
     diag = list(diag) + [F.zero] * (n - m)
-    upper = {(i, j): g22_hat[i, j] for i in range(t) for j in range(i + 1, t)}
+    upper = {}
+    for i, row in enumerate(g22_hat.data):
+        tail = row[i + 1:]
+        upper.update(compress(zip(zip(repeat(i), range(i + 1, t)), tail),
+                              tail))
     rad = inst.radical().subspace
     s_hat = annihilator(rad)
     radical = Radical(ab.r_hat, Subspace(F, n - d, Matrix._units(

@@ -18,7 +18,11 @@ the grammar or over Python's int/str digit limit ``ParseError`` (also a
 ``ZeroDivisionError``).  The matrix and form kernels in ``linalg`` and
 ``quadform`` bypass them: they run native
 ``int``/``Fraction`` operators and, over GF(p), reduce modulo
-``characteristic()`` once per computed entry.  Over the rationals a matrix
+``characteristic()`` once per computed entry.  A matrix row or a form's
+diagonal is read by the private ``_row``: one C-level check over the row
+returns it unchanged when every entry is already canonical, and otherwise
+it is ``tuple(map(scalar, row))``, with its errors in the same order.
+Over the rationals a matrix
 keeps its rows cleared of denominators, as ``int`` rows over one
 denominator each, between elimination, products, transposes and
 submatrices, and builds its ``Fraction`` entries only when one is read.
@@ -138,6 +142,13 @@ class RationalField(Field):
             return self.parse(x)
         return _exact(x)
 
+    def _row(self, row):
+        """tuple(map(self.scalar, row)) for a sequence row, read by one
+        type check when every entry is a Fraction."""
+        if set(map(type, row)) <= {Fraction}:
+            return tuple(row)
+        return tuple(map(self.scalar, row))
+
     def add(self, a, b):
         return a + b
 
@@ -192,6 +203,14 @@ class PrimeField(Field):
         if type(x) is not Fraction:
             x = _exact(x)
         return x.numerator * self.inv(x.denominator) % self.p
+
+    def _row(self, row):
+        """tuple(map(self.scalar, row)) for a sequence row, read by a type
+        check and min and max when every entry is an int in [0, p)."""
+        if set(map(type, row)) <= {int} and (
+                not row or min(row) >= 0 and max(row) < self.p):
+            return tuple(row)
+        return tuple(map(self.scalar, row))
 
     def add(self, a, b):
         return (a + b) % self.p

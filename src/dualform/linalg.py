@@ -13,6 +13,7 @@ from array import array
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
 from math import gcd, lcm, prod
 
 from .errors import LengthMismatch, NotNested, Singular, ValidationError
@@ -144,8 +145,12 @@ class Matrix:
     and every row are sequences other than text (see _sequence) and a
     given ``cols`` is an int >= 0 (not a bool), and ``LengthMismatch``
     unless every row has ``cols`` entries (by default, as many as the
-    first row), before it coerces any entry through
-    ``field.scalar``; ``mul`` raises ``LengthMismatch`` for a product of
+    first row), before it coerces any entry.  It reads each row whole,
+    by ``field._row``: a row of canonical scalars (all ``Fraction`` over
+    the rationals, all ``int`` in [0, p) over GF(p), read by a type set
+    and min and max) is kept as it is, and any other row goes through
+    ``field.scalar`` entry by entry, with scalar's errors in their order;
+    ``mul`` raises ``LengthMismatch`` for a product of
     matrices over different fields.  The
     public methods that take outside scalars read them the same way:
     ``mul_vec``, and so ``solve``'s right-hand side and
@@ -199,7 +204,7 @@ class Matrix:
             if len(row) != cols:
                 raise LengthMismatch(f"matrix row length != {cols}")
         self.field = field
-        self.data = tuple(tuple(map(field.scalar, row)) for row in data)
+        self.data = tuple(map(field._row, data))
         self.rows = len(self.data)
         self.cols = cols
         self._q = None
@@ -254,7 +259,11 @@ class Matrix:
     @classmethod
     def _units(cls, field, idx, n):
         """The unit vectors e_i of F^n for i in idx, as rows."""
-        rows = [[int(i == j) for j in range(n)] for i in idx]
+        rows = []
+        for i in idx:
+            row = [0] * n
+            row[i] = 1
+            rows.append(row)
         return cls._cleared(field, rows, [1] * len(rows), n)
 
     @classmethod
@@ -295,6 +304,11 @@ class Matrix:
         if type(col_idx) is range and col_idx.step == 1:
             lo, hi = col_idx.start, col_idx.stop
             picked = [rows[i][lo:hi] for i in row_idx]
+        elif len(col_idx) > 1:
+            get = operator.itemgetter(*col_idx)
+            picked = [get(rows[i]) for i in row_idx]
+            if q is not None:
+                picked = list(map(list, picked))
         else:
             picked = [[rows[i][j] for j in col_idx] for i in row_idx]
         if q is None:
@@ -623,7 +637,14 @@ def adjugate(M):
 
 
 class Subspace:
-    """A subspace of F^n given by its canonical RREF basis rows."""
+    """A subspace of F^n given by its canonical RREF basis rows.
+
+    ``Subspace(field, ambient_dim, basis)`` requires basis to be a Matrix
+    whose rows are already in canonical RREF, of full row rank, as
+    ``from_rows`` and ``_span`` guarantee: it checks nothing and reads
+    each pivot as the first index of the row's leading value, 1 over
+    GF(p) and the row's denominator in its cleared form (``_ints()``)
+    over the rationals."""
 
     __slots__ = ("field", "ambient_dim", "basis", "pivots")
 
@@ -631,8 +652,7 @@ class Subspace:
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = basis  # Matrix, rows in canonical RREF, full row rank
-        self.pivots = [next(j for j, x in enumerate(row) if x) for row in
-                       (basis.data if basis._q is None else basis._q[0])]
+        self.pivots = list(map(operator.indexOf, *basis._ints()))
 
     @classmethod
     def from_rows(cls, field, ambient_dim, rows):
@@ -699,21 +719,29 @@ def _null_rows(R, pivots, free):
     i is 1 at the free column free[i], 0 at the other free columns and
     -R[r][free[i]] at the pivot column of row r.  Over the rationals row i
     is column free[i] of R, cleared, so it keeps that column's
-    denominator."""
+    denominator.  The rows are built as columns, then transposed once:
+    the pivot column of row r is row r of R's free columns negated (over
+    the rationals column r of their cleared transpose, whose rows carry
+    the denominators), and free column free[i] is the unit column i times
+    row i's denominator.  Every column of R is a pivot or a free one."""
     F, k = R.field, R.cols
-    X = R.submatrix(range(len(pivots)), free).transpose()
     p = F.characteristic()
-    ints, dens = X._ints()
-    cols = [[-x % p for x in col] if p else [-x for x in col]
-            for col in ints]
-    rows = []
-    for f, col, d in zip(free, cols, dens):
-        v = [0] * k
-        v[f] = d
-        for c, x in zip(pivots, col):
-            v[c] = x
-        rows.append(v)
-    return Matrix._cleared(F, rows, dens, k)
+    top = R.submatrix(range(len(pivots)), free)
+    if p:
+        dens = [1] * len(free)
+        negated = (map(operator.mod, map(operator.neg, row), repeat(p))
+                   for row in top.data)
+    else:
+        ints, dens = top.transpose()._ints()
+        negated = (map(operator.neg, col) for col in zip(*ints))
+    cols = [()] * k
+    for c, col in zip(pivots, negated):
+        cols[c] = col
+    for i, (f, d) in enumerate(zip(free, dens)):
+        cols[f] = unit = [0] * len(free)
+        unit[i] = d
+    rows = zip(*cols)
+    return Matrix._cleared(F, rows if p else list(map(list, rows)), dens, k)
 
 
 def _flipped(M):

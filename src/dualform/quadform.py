@@ -8,6 +8,7 @@ values.
 """
 
 from collections.abc import Mapping
+from itertools import compress
 
 from .errors import LengthMismatch, NotInSubspace, Singular, ValidationError
 from .linalg import (Matrix, Subspace, _canon, _row_dots, _sequence, kernel,
@@ -21,44 +22,58 @@ class QuadraticForm:
     unsupported.  Its matrix() and polar_gram() are computed once, on
     first use, and kept in _matrix and _gram; every caller shares them,
     so over the rationals their rows are cleared of denominators once.
+
+    The constructor reads diag as one row, by ``field._row`` (see
+    ``linalg.Matrix``): a canonical row is kept after one check, any
+    other goes through ``field.scalar``.  The items of upper are read one
+    by one, in order: each key must be an index pair (i, j), a tuple of
+    two ints (a bool is not one) with 0 <= i < j < m, else
+    ``LengthMismatch``, and each value goes through ``field.scalar``;
+    zero values are dropped.  Checking all keys at once by builtins costs
+    more than this loop at the sizes measured.
     """
 
     __slots__ = ("field", "m", "diag", "upper", "_matrix", "_gram")
 
     def __init__(self, field, diag, upper=None):
         self.field = field
-        self.diag = tuple(field.scalar(x) for x in _sequence(diag))
-        self.m = len(self.diag)
+        self.diag = field._row(_sequence(diag))
+        self.m = m = len(self.diag)
         if not isinstance(upper, (Mapping, type(None))):
             raise ValidationError("upper must map index pairs to scalars")
-        cleaned = {}
+        scalar, cleaned = field.scalar, {}
         for ij, v in (upper or {}).items():
             # an index pair is a tuple of two ints, and a bool is not one
             i, j = ij if type(ij) is tuple and len(ij) == 2 else (None, None)
-            if not (type(i) is type(j) is int and 0 <= i < j < self.m):
+            if not (type(i) is type(j) is int and 0 <= i < j < m):
                 raise LengthMismatch(f"bad coefficient index {ij!r}")
-            v = field.scalar(v)
-            if not field.is_zero(v):
+            v = scalar(v)
+            if v:
                 cleaned[ij] = v
         self.upper = cleaned
         self._matrix = self._gram = None
 
     @classmethod
     def _trusted(cls, field, diag, upper):
-        """Internal constructor for canonical diag and upper values."""
+        """Internal constructor for canonical diag and upper values, upper
+        holding no zero."""
         self = object.__new__(cls)
         self.field, self.diag, self.m = field, tuple(diag), len(diag)
-        self.upper = {ij: v for ij, v in upper.items() if v}
+        self.upper = upper
         self._matrix = self._gram = None
         return self
 
     def matrix(self):
-        """Upper-triangular A with Q(x) = x^t A x, diag on its diagonal."""
+        """Upper-triangular A with Q(x) = x^t A x, diag on its diagonal,
+        written from the stored coefficients into zero rows."""
         if self._matrix is None:
-            F, m, d = self.field, self.m, self.diag
-            self._matrix = Matrix._trusted(
-                F, [[d[i] if i == j else self.upper.get((i, j), F.zero)
-                     for j in range(m)] for i in range(m)], m)
+            F, m = self.field, self.m
+            a = [[F.zero] * m for _ in range(m)]
+            for i, x in enumerate(self.diag):
+                a[i][i] = x
+            for (i, j), v in self.upper.items():
+                a[i][j] = v
+            self._matrix = Matrix._trusted(F, a, m)
         return self._matrix
 
     def polar_gram(self):
@@ -282,7 +297,7 @@ class MetricSpace:
         pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
         sums = _canon(p, [M[i][j] + M[j][i] for i, j in pairs])
         return QuadraticForm._trusted(F, [M[i][i] for i in range(t)],
-                                      dict(zip(pairs, sums)))
+                                      dict(compress(zip(pairs, sums), sums)))
 
     def __eq__(self, other):
         return (isinstance(other, MetricSpace)

@@ -5,7 +5,8 @@ import operator
 import sys
 from fractions import Fraction
 
-from dualform import (MetricSpace, QuadraticForm, Matrix, make_field, rank)
+from dualform import (LengthMismatch, MetricSpace, QuadraticForm, Matrix,
+                      make_field, rank)
 
 FQ = make_field("rational")
 F2 = make_field("prime", 2)
@@ -168,6 +169,24 @@ def mul_gfp_reference(A, B):
     return Matrix(A.field, [[sum(map(operator.mul, row, col)) % p
                              for col in cols] for row in A.data],
                   cols=B.cols)
+
+
+def quadratic_form_reference(field, diag, upper):
+    """QuadraticForm's reading of diag and upper, item by item: each diag
+    entry through field.scalar, then for each upper item in order its key
+    checked for an index pair (i, j), 0 <= i < j < m, and its value
+    coerced.  Returns (diag, upper without zeros)."""
+    diag = tuple(field.scalar(x) for x in diag)
+    m = len(diag)
+    cleaned = {}
+    for ij, v in upper.items():
+        i, j = ij if type(ij) is tuple and len(ij) == 2 else (None, None)
+        if not (type(i) is type(j) is int and 0 <= i < j < m):
+            raise LengthMismatch(f"bad coefficient index {ij!r}")
+        v = field.scalar(v)
+        if not field.is_zero(v):
+            cleaned[ij] = v
+    return diag, cleaned
 
 
 def record_calls(monkeypatch, *raws):

@@ -1,6 +1,7 @@
 """Time one benchmark workload on two source trees, interleaved.
 
-    python3 tools/ab_compare.py WORKLOAD OTHER_ROOT [--problems N] [--seed S]
+    python3 tools/ab_compare.py WORKLOAD OTHER_ROOT [--problems N]
+        [--seeds S[,S...]]
 
 Run from anywhere.  This checkout's src/dualform and OTHER_ROOT's are
 imported side by side in one process, as the packages dualform_this and
@@ -11,9 +12,11 @@ judges every result.  A shared host drifts in speed by tens of per cent
 within a minute, so timings of two trees taken one after the other can
 mislead; interleaved per problem, both see the same moments of host speed.
 
-Prints each tree's total and median (p50) time, the ratios this/other and
-on how many problems this tree was the faster.  Exits 1 if a check fails
-on either tree.
+Runs one such comparison per seed (default 7; --seed S is the same as
+--seeds S).  Prints one line per seed: each tree's total time, the
+ratios this/other of the totals and of the median (p50) times, and on
+how many problems this tree was the faster; then on how many seeds this
+tree's total was the lower.  Exits 1 if a check fails on either tree.
 
 A tree compared with itself reads off 1 by several per cent.  Over 200
 problems at seed 71, sweep-small read total 0.998, p50 0.985 and faster
@@ -52,27 +55,21 @@ def load(root, alias):
     return package
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("workload", choices=sorted(workloads.WORKLOADS))
-    ap.add_argument("other_root")
-    ap.add_argument("--problems", type=int, default=60)
-    ap.add_argument("--seed", type=int, default=7)
-    args = ap.parse_args(argv)
-    if args.problems < 1:
-        ap.error("--problems must be at least 1")
-    roots = {"this": ROOT, "other": os.path.abspath(args.other_root)}
-    times = {name: [] for name in roots}
+def compare(workload, packages, problems, seed):
+    """Per-problem times {name: [s, ...]} of each tree in packages on the
+    workload's problems at seed, alternating which runs first, and the
+    number of failed checks per tree."""
+    times = {name: [] for name in packages}
     with tempfile.TemporaryDirectory() as tmp:
         wls = {}
-        for name, root in roots.items():
-            wls[name] = workloads.WORKLOADS[args.workload](args.seed, tmp)
-            wls[name].bind(load(root, "dualform_" + name))
+        for name, package in packages.items():
+            wls[name] = workloads.WORKLOADS[workload](seed, tmp)
+            wls[name].bind(package)
         warm = wls["this"].spec(-1)
         for wl in wls.values():
             wl.check(warm, wl.run(warm))
         gc.collect()
-        for k in range(args.problems):
+        for k in range(problems):
             spec = wls["this"].spec(k)
             if spec is None:
                 break  # a finite pool is exhausted
@@ -81,19 +78,46 @@ def main(argv=None):
                 out = wls[name].run(spec)
                 times[name].append(time.perf_counter() - t0)
                 wls[name].check(spec, out)
-    count = len(times["this"])
-    print(f"{args.workload}, seed {args.seed}, {count} problems, order "
-          "alternated per problem")
-    for name, root in roots.items():
-        print(f"{name:5} {root}: total {sum(times[name]):.4f} s, p50 "
-              f"{1e3 * statistics.median(times[name]):.3f} ms, failed "
-              f"checks {sum(wls[name].failures.values())}")
-    this, other = times["this"], times["other"]
-    faster = sum(a < b for a, b in zip(this, other))
-    print(f"this/other: total {sum(this) / sum(other):.3f}, p50 "
-          f"{statistics.median(this) / statistics.median(other):.3f}; "
-          f"this faster on {faster} of {count}")
-    return 1 if any(wl.failures for wl in wls.values()) else 0
+    return times, {name: sum(wl.failures.values())
+                   for name, wl in wls.items()}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("workload", choices=sorted(workloads.WORKLOADS))
+    ap.add_argument("other_root")
+    ap.add_argument("--problems", type=int, default=60)
+    ap.add_argument("--seeds", default="7",
+                    help="comma-separated seeds, one comparison each")
+    args = ap.parse_args(argv)
+    if args.problems < 1:
+        ap.error("--problems must be at least 1")
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        ap.error(f"--seeds {args.seeds!r} is not a comma-separated list of "
+                 "ints")
+    roots = {"this": ROOT, "other": os.path.abspath(args.other_root)}
+    packages = {name: load(root, "dualform_" + name)
+                for name, root in roots.items()}
+    print(f"{args.workload}, this {roots['this']}, other {roots['other']}, "
+          "order alternated per problem")
+    lower = failed = 0
+    for seed in seeds:
+        times, failures = compare(args.workload, packages, args.problems,
+                                  seed)
+        this, other = times["this"], times["other"]
+        faster = sum(a < b for a, b in zip(this, other))
+        lower += sum(this) < sum(other)
+        failed += sum(failures.values())
+        print(f"seed {seed}: {len(this)} problems, total this "
+              f"{sum(this):.4f} s, other {sum(other):.4f} s; this/other: "
+              f"total {sum(this) / sum(other):.3f}, p50 "
+              f"{statistics.median(this) / statistics.median(other):.3f}; "
+              f"this faster on {faster}; failed checks this "
+              f"{failures['this']}, other {failures['other']}")
+    print(f"this tree's total was lower on {lower} of {len(seeds)} seeds")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
