@@ -42,9 +42,6 @@ class AdaptedBasis:
         self.i2 = range(d, m)
         self.i3 = range(m, n)
 
-    def column(self, j):
-        return self.a.column(j)
-
 
 class LinkedCoset:
     """A representative plus the radical it may be shifted by."""
@@ -252,7 +249,7 @@ def dualize(inst):
                               tail))
     rad = inst.radical().subspace
     s_hat = annihilator(rad)
-    radical = Radical(ab.r_hat, Subspace(F, n - d, Matrix._units(
+    radical = Radical(ab.r_hat, Subspace._trusted(F, n - d, Matrix._units(
         F, range(t, n - d), n - d)))
     dual = MetricSpace._trusted(
         F, n, ab.a_inv.submatrix(range(d, n), range(n)),

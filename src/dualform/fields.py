@@ -5,12 +5,17 @@ a ``float`` or text among them, raises ``NotPrime``.
 Scalars are plain Python values: ``fractions.Fraction`` for the rationals and
 ``int`` residues in ``[0, p)`` for GF(p).  Both representations are canonical,
 so structural equality of scalars is sound, and a scalar is zero exactly when
-it is falsy.  The Field methods are the scalar API and own the parsing and
-formatting of the textual encoding ("num/den" or "num" for rationals, decimal
-residues for GF(p)); ``parse`` refuses a value that is not a ``str`` with
-``ParseError``.  ``scalar`` takes a ``Fraction``, text and, over GF(p),
-an ``int`` directly and any other exact number (an ``int`` over the
-rationals, a ``Decimal``, a ``bool``) by one ``Fraction`` coercion; GF(p)
+it is falsy.  The Field methods are the scalar API: ``characteristic``,
+``scalar``, ``inv``, ``mul``, ``halve``, ``is_zero``, and the parsing and
+formatting of the textual encoding by ``parse`` and ``format`` ("num/den"
+or "num" for rationals, decimal residues for GF(p)); ``parse`` refuses a
+value that is not a ``str`` with ``ParseError``.  A sum, difference or
+negation is the native operator read back by ``scalar``, as in
+``F.scalar(a - b)``, and a quotient is ``F.mul(a, F.inv(b))``; ``mul``
+stays because ``halve`` multiplies by the inverse of 2 through it.
+``scalar`` takes a ``Fraction``, text and, over GF(p), an ``int``
+directly and any other exact number (an ``int`` over the rationals, a
+``Decimal``, a ``bool``) by one ``Fraction`` coercion; GF(p)
 reduces a fraction as numerator times inverse denominator.  A ``float``,
 NaN, an infinity or a non-number raises ``ValidationError``, text outside
 the grammar or over Python's int/str digit limit ``ParseError`` (also a
@@ -104,16 +109,10 @@ class Field:
     def characteristic(self):
         raise NotImplementedError
 
-    def neg(self, a):
-        return self.sub(self.zero, a)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def halve(self, a):
         if self.characteristic() == 2:
             raise CharTwo("cannot divide by 2 in characteristic 2")
-        return self.div(a, self.scalar(2))
+        return self.mul(a, self.inv(self.scalar(2)))
 
     def is_zero(self, a):
         return a == self.zero
@@ -148,12 +147,6 @@ class RationalField(Field):
         if set(map(type, row)) <= {Fraction}:
             return tuple(row)
         return tuple(map(self.scalar, row))
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def mul(self, a, b):
         return a * b
@@ -211,12 +204,6 @@ class PrimeField(Field):
                 not row or min(row) >= 0 and max(row) < self.p):
             return tuple(row)
         return tuple(map(self.scalar, row))
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p

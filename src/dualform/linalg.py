@@ -414,9 +414,6 @@ def _row_dots(A, B):
 def vec_add(F, x, y):
     return _canon(F.characteristic(), [u + v for u, v in zip(x, y)])
 
-def vec_sub(F, x, y):
-    return _canon(F.characteristic(), [u - v for u, v in zip(x, y)])
-
 def vec_scale(F, c, x):
     return _canon(F.characteristic(), [c * u for u in x])
 
@@ -639,20 +636,33 @@ def adjugate(M):
 class Subspace:
     """A subspace of F^n given by its canonical RREF basis rows.
 
-    ``Subspace(field, ambient_dim, basis)`` requires basis to be a Matrix
-    whose rows are already in canonical RREF, of full row rank, as
-    ``from_rows`` and ``_span`` guarantee: it checks nothing and reads
-    each pivot as the first index of the row's leading value, 1 over
-    GF(p) and the row's denominator in its cleared form (``_ints()``)
-    over the rationals."""
+    ``Subspace(field, ambient_dim, basis)`` raises ``ValidationError``
+    unless ambient_dim is an int >= 0 and basis is a Matrix over field
+    with ambient_dim columns whose rows are already in canonical RREF, of
+    full row rank: equal to its own echelon.  ``from_rows`` spans any
+    rows.  ``Subspace._trusted`` is the internal constructor and checks
+    nothing: it reads each pivot as the first index of the row's leading
+    value, 1 over GF(p) and the row's denominator in its cleared form
+    (``_ints()``) over the rationals."""
 
     __slots__ = ("field", "ambient_dim", "basis", "pivots")
 
     def __init__(self, field, ambient_dim, basis):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.basis = basis  # Matrix, rows in canonical RREF, full row rank
+        if not (isinstance(basis, Matrix) and basis.field == field
+                and basis.cols == _dimension(ambient_dim)
+                and _echelon(basis, False)[0] == basis):
+            raise ValidationError("a subspace basis is a Matrix of "
+                                  "ambient_dim columns over the field, in "
+                                  "canonical RREF of full row rank")
+        self.field, self.ambient_dim, self.basis = field, ambient_dim, basis
         self.pivots = list(map(operator.indexOf, *basis._ints()))
+
+    @classmethod
+    def _trusted(cls, field, ambient_dim, basis):
+        self = object.__new__(cls)
+        self.field, self.ambient_dim, self.basis = field, ambient_dim, basis
+        self.pivots = list(map(operator.indexOf, *basis._ints()))
+        return self
 
     @classmethod
     def from_rows(cls, field, ambient_dim, rows):
@@ -663,23 +673,12 @@ class Subspace:
     @classmethod
     def _span(cls, M):
         """Subspace spanned by the rows of M, which are canonical."""
-        return cls(M.field, M.cols, _echelon(M, False)[0] if M.rows else M)
-
-    @classmethod
-    def zero(cls, field, ambient_dim):
-        return cls.from_rows(field, ambient_dim, [])
-
-    @classmethod
-    def full(cls, field, ambient_dim):
-        return cls(field, ambient_dim,
-                   Matrix.identity(field, ambient_dim))
+        return cls._trusted(M.field, M.cols,
+                            _echelon(M, False)[0] if M.rows else M)
 
     @property
     def dim(self):
         return self.basis.rows
-
-    def contains(self, vec):
-        return self.coordinates(vec) is not None
 
     def coordinates(self, vec):
         """Coefficients of vec over the stored basis rows, or None."""
@@ -694,11 +693,6 @@ class Subspace:
         None if it does not recombine the basis rows into V."""
         P = V.submatrix(range(V.rows), self.pivots)
         return P if P.mul(self.basis) == V else None
-
-    def is_subspace_of(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise LengthMismatch("subspaces of different ambient spaces")
-        return other._coordinates(self.basis) is not None
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
@@ -770,7 +764,8 @@ def kernel(M):
     W, pivots, _ = _echelon(_flipped(M), False)
     taken = set(pivots)
     free = [f for f in range(M.cols) if f not in taken]
-    return Subspace(M.field, M.cols, _flipped(_null_rows(W, pivots, free)))
+    return Subspace._trusted(M.field, M.cols,
+                             _flipped(_null_rows(W, pivots, free)))
 
 
 def _particular(M, b):

@@ -91,12 +91,6 @@ class QuadraticForm:
             self._gram = Matrix._trusted(F, g, m)
         return self._gram
 
-    def coefficient(self, i, j):
-        """Polar coefficient B(b_i, b_j) for i != j, stored or zero."""
-        if i > j:
-            i, j = j, i
-        return self.upper.get((i, j), self.field.zero)
-
     def is_zero(self):
         return not self.upper and all(self.field.is_zero(x)
                                       for x in self.diag)
@@ -151,8 +145,8 @@ class MetricSpace:
         self.n = n
         self._basis = Matrix(field, s_basis, cols=n)
         R, self._span_t, pivots = rref(self._basis)
-        self.subspace = Subspace(field, n,
-                                 R.submatrix(range(len(pivots)), range(n)))
+        self.subspace = Subspace._trusted(
+            field, n, R.submatrix(range(len(pivots)), range(n)))
         if len(pivots) != self.m:
             raise LengthMismatch("s_basis is linearly dependent")
         if not isinstance(form, QuadraticForm):

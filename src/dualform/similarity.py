@@ -42,9 +42,6 @@ class LinearMap:
     def apply(self, vec):
         return self.matrix.mul_vec(vec)
 
-    def compose(self, other):
-        return LinearMap._trusted(self.matrix.mul(other.matrix))
-
     def __eq__(self, other):
         return isinstance(other, LinearMap) and self.matrix == other.matrix
 

@@ -245,7 +245,7 @@ def pairwise_diagonalize(inst):
     """Reference diagonalization: the same pivot rules as
     normal.diagonalize, with every test an eval_b on two coordinate
     columns of the evolving basis.  Returns (T, normalized)."""
-    from dualform.linalg import vec_add, vec_scale, vec_sub
+    from dualform.linalg import vec_add, vec_scale
     F, m = inst.field, inst.m
     T1, d = _radical_first_transform(inst)
     b = inst.change_of_basis(T1).eval_b
@@ -265,8 +265,8 @@ def pairwise_diagonalize(inst):
         cols[k], cols[pivot] = cols[pivot], cols[k]
         pk = b(cols[k], cols[k])
         for l in range(k + 1, m):
-            f = F.div(b(cols[k], cols[l]), pk)
-            cols[l] = list(vec_sub(F, cols[l], vec_scale(F, f, cols[k])))
+            f = F.mul(b(cols[k], cols[l]), F.inv(pk))
+            cols[l] = list(vec_add(F, cols[l], vec_scale(F, -f, cols[k])))
     T = T1.mul(Matrix(F, list(zip(*cols)), cols=m))
     return T, inst.change_of_basis(T)
 

@@ -86,7 +86,7 @@ def test_characteristic_kills_one():
         F = make_field("prime", p)
         acc = F.zero
         for _ in range(p):
-            acc = F.add(acc, F.one)
+            acc = F.scalar(acc + F.one)
         assert F.is_zero(acc)
 
 
@@ -99,15 +99,16 @@ def test_field_axioms_random(field):
         if field.characteristic() == 0:
             return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         return rng.randrange(field.characteristic())
+    s = field.scalar
     for _ in range(200):
         a, b, c = rand(), rand(), rand()
-        assert field.add(field.add(a, b), c) == field.add(a, field.add(b, c))
+        assert s(s(a + b) + c) == s(a + s(b + c))
         assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
-        assert field.add(a, b) == field.add(b, a)
+        assert s(a + b) == s(b + a)
         assert field.mul(a, b) == field.mul(b, a)
-        assert field.mul(a, field.add(b, c)) == \
-            field.add(field.mul(a, b), field.mul(a, c))
-        assert field.is_zero(field.add(a, field.neg(a)))
+        assert field.mul(a, s(b + c)) == \
+            s(field.mul(a, b) + field.mul(a, c))
+        assert field.is_zero(s(a + s(-a)))
         if not field.is_zero(a):
             assert field.mul(a, field.inv(a)) == field.one
 
@@ -116,8 +117,8 @@ def test_rational_canonical_form():
     F = make_field("rational")
     rng = random.Random(7)
     for _ in range(100):
-        a = F.div(Fraction(rng.randint(-30, 30)),
-                  Fraction(rng.randint(1, 30)))
+        a = F.mul(Fraction(rng.randint(-30, 30)),
+                  F.inv(Fraction(rng.randint(1, 30))))
         assert a.denominator > 0
         assert gcd(abs(a.numerator), a.denominator) == 1
 

@@ -19,7 +19,9 @@ text or bytes (of the right length, too), a mapping or a set in place of
 a sequence, a bare ``list`` in place of a ``Matrix``, a diagonal in place
 of a ``QuadraticForm``, and an ambient dimension or column count that is
 not an int of at least 0, with rows it would otherwise fit.  Each is
-refused where it enters, not read by its length, keys or characters."""
+refused where it enters, not read by its length, keys or characters.  A
+``Subspace`` basis is refused unless it is a ``Matrix`` over the field,
+of the ambient width, equal to its own canonical echelon."""
 
 from decimal import Decimal
 from fractions import Fraction
@@ -39,6 +41,7 @@ st = hypothesis.strategies
 from strategies import PROPERTY, coordinates, instances, scalars  # noqa: E402
 
 FIELDS = (FQ, F2, F3, make_field("prime", 2**31 - 1))
+F7 = make_field("prime", 7)
 FUZZ = hypothesis.settings(PROPERTY, max_examples=25)
 ODD = [None, 1.0, 0.5, -0.0, float("nan"), float("inf"), 1j, b"1", [1],
        (), object(), Decimal("NaN"), Decimal("-Infinity"), "", "x", "1.5",
@@ -150,20 +153,20 @@ ENTRIES = {
         solve, inst.subspace.basis, _vec(draw, F, inst.subspace.dim)),
     "LinearMap.apply": lambda draw, F, inst: (
         _identity(F, inst.n).apply, _vec(draw, F, inst.n)),
-    "LinearMap.compose": lambda draw, F, inst: (
-        _identity(F, inst.n).compose,
-        _identity(other_field(draw, F), inst.n)),
     "Subspace.from_rows": lambda draw, F, inst: (
         Subspace.from_rows, F, inst.n, draw(bad_rows(F, 2, inst.n))),
-    "Subspace.contains": lambda draw, F, inst: (
-        inst.subspace.contains, _vec(draw, F, inst.n)),
     "Subspace.coordinates": lambda draw, F, inst: (
         inst.subspace.coordinates, _vec(draw, F, inst.n)),
-    "Subspace.is_subspace_of": lambda draw, F, inst: (
-        Subspace.full(other_field(draw, F), inst.n).is_subspace_of,
-        inst.subspace),
+    "Subspace": lambda draw, F, inst: (Subspace, *draw(st.sampled_from([
+        (F7, 3, Matrix(F7, [[0, 0, 0]])),
+        (FQ, 2, Matrix(FQ, [[2, 0]])),
+        (F7, 3, Matrix(F7, [[0, 3, 1]])),
+        (FQ, 2, Matrix(FQ, [[1, 1], [0, 1]])),
+        (F, inst.n + 1, inst.subspace.basis),
+        (other_field(draw, F), inst.n, inst.subspace.basis),
+        (F, inst.n, list(inst.subspace.basis.data))]))),
     "extend_basis": lambda draw, F, inst: (
-        extend_basis, Subspace.zero(other_field(draw, F), inst.n),
+        extend_basis, Subspace.from_rows(other_field(draw, F), inst.n, []),
         inst.subspace),
     "QuadraticForm": lambda draw, F, inst: (
         QuadraticForm, F, *_form(draw, F, inst.m)),
