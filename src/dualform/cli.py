@@ -65,14 +65,17 @@ def _field_from_doc(doc):
 
 
 def _field_from_flag(text):
+    """The field --field names: 'rational', in any case, or a prime in
+    ASCII digits, [0-9]+, the grammar of a file's scalars without sign."""
     if text.lower() == "rational":
         return make_field("rational")
     try:
-        p = int(text)
-    except ValueError:
-        raise ValidationError(f"--field must be 'rational' or a prime, "
-                              f"got {text!r}")
-    return make_field("prime", p)
+        if text.isascii() and text.isdigit():
+            return make_field("prime", int(text))
+    except ValueError:  # past Python's int/str conversion digit limit
+        pass
+    raise ValidationError(f"--field must be 'rational' or a prime, "
+                          f"got {text!r}")
 
 
 def _too_long(where):

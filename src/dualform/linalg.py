@@ -70,9 +70,8 @@ def _slot(bound):
 
 def _pack(row, nb, code):
     """The entries of row, each below 2^min(8 nb, 64), as one packed int;
-    a row of width 1 packs to its own entry."""
-    if len(row) == 1:
-        return row[0]
+    a row of width 1 takes the general path, which packs it to its own
+    entry."""
     if nb == 1:
         return int.from_bytes(bytes(row), "little")
     if nb == 16:
@@ -103,8 +102,6 @@ def _fold(nb, count, p):
 def _slots(x, count, nb, code, fold=None):
     """The count slot values of the packed int x, as an iterable of ints;
     16-byte ones up to multiples of p, folded by _fold(16, count, p)."""
-    if count == 1:
-        return (x,)
     if fold:
         mask, r = fold
         x = (x & mask) + ((x >> 63) & mask) * r
@@ -304,11 +301,6 @@ class Matrix:
         if type(col_idx) is range and col_idx.step == 1:
             lo, hi = col_idx.start, col_idx.stop
             picked = [rows[i][lo:hi] for i in row_idx]
-        elif len(col_idx) > 1:
-            get = operator.itemgetter(*col_idx)
-            picked = [get(rows[i]) for i in row_idx]
-            if q is not None:
-                picked = list(map(list, picked))
         else:
             picked = [[rows[i][j] for j in col_idx] for i in row_idx]
         if q is None:
@@ -419,9 +411,11 @@ def vec_scale(F, c, x):
 
 
 def _echelon(M, transform):
-    """The one elimination loop: rref, det and without transform every
-    rank, kernel, span and completion question.  Returns (W, pivots, det),
-    W a Matrix and det zero unless M is square and of full rank.
+    """The one elimination loop: rref and adjugate, and without transform
+    every rank, det, kernel, span and completion question.  Returns
+    (W, pivots, d), W a Matrix.  With transform d is delta = 1/det(T) at
+    every rank; without it d is det(M) if M is square and of full rank,
+    else zero.  At full rank T M = I, so the two agree there.
 
     The pivot of each column is its first nonzero entry at or below the
     current row.  With transform each working row holds a row of M
@@ -443,8 +437,10 @@ def _echelon(M, transform):
     is repacked as a pivot, so every slot stays below
     p + min(n, k) (p - 1)^2; the slot is the narrowest that holds this
     bound, no slot carries into the next, and the rows are reduced mod p
-    once, as they are unpacked at the end.  det is the sign of the row
-    swaps times the product of the pivots.
+    once, as they are unpacked at the end.  T is the product of the row
+    swaps, the scalings by the inverses of the pivots and the row
+    additions, so delta is the sign of the row swaps times the product of
+    the pivots, at every rank.
 
     Over the rationals the rows are cleared of denominators, with T
     starting as the diagonal D of them, so the working rows start as
@@ -456,13 +452,17 @@ def _echelon(M, transform):
     of order s + 1 in a non-pivot row (on the pivot rows and its own, the
     pivot columns and its own) and s in a pivot row (its pivot column
     replaced by its own).  So every pivot row holds prev in its pivot
-    column, and at full rank det(M) = sign * prev / prod(dens), sign that
-    of the row swaps.  In the end a pivot row is divided by its pivot and
-    any other row by its entry in its own column own[i] of T, nonzero
-    because no pivot row is nonzero there: each row is multiplied by the
-    sign of its divisor, read off the int, and the divisor's size becomes
-    the row's denominator, so no Field.inv is called and W holds the
-    cleared rows.
+    column.  In the end a pivot row is divided by its pivot and any other
+    row by its entry v_i in its own column own[i] of T, nonzero because no
+    pivot row is nonzero there: each row is multiplied by the sign of its
+    divisor, read off the int, and the divisor's size becomes the row's
+    denominator, so no Field.inv is called and W holds the cleared rows.
+    The right half starts with determinant prod(dens); each of the r
+    pivots multiplies the n - 1 other rows by pv / prev, which telescopes
+    to prev^(n-1), and the swaps give sign; the final divisions take
+    prev^r and prod(v_i).  So
+    delta = sign * prev^(r-n+1) * prod(v_i) / prod(dens), which at full
+    rank, with no v_i, is det(M) = sign * prev / prod(dens).
     """
     F = M.field
     p, n, k = F.characteristic(), M.rows, M.cols
@@ -516,7 +516,7 @@ def _echelon(M, transform):
             rows = [[x % p for x in _slots(row, width, nb, code, fold)]
                     for row in a]
         return (Matrix._trusted(F, rows, width), pivots,
-                sign * d % p if r == n == k else F.zero)
+                sign * d % p if transform or r == n == k else F.zero)
     rows, dens = M._ints()
     if transform:
         a = [row + [d if i == j else 0 for j in range(n)]
@@ -550,6 +550,7 @@ def _echelon(M, transform):
             break
     if not transform:
         del a[r:]
+    v_prod = prod(a[i][k + own[i]] for i in range(r, len(a)))
     out = []
     for i, row in enumerate(a):
         v = row[pivots[i] if i < r else k + own[i]]
@@ -558,16 +559,19 @@ def _echelon(M, transform):
         if num != 1 or g != 1:
             a[i] = [num * x // g for x in row]
         out.append(d // g)
-    return Matrix._cleared(F, a, out, width), pivots, \
-        Fraction(sign * prev, prod(dens)) if r == n == k else F.zero
+    e = r - n + 1
+    return Matrix._cleared(F, a, out, width), pivots, Fraction(
+        sign * v_prod * prev ** max(e, 0), prod(dens) * prev ** max(-e, 0)
+    ) if transform or r == n == k else F.zero
 
 
 def _rref(M):
-    """rref's (R, T, pivots) followed by det(M)."""
-    W, pivots, d = _echelon(M, True)
+    """rref's (R, T, pivots) followed by delta = 1/det(T), which is det(M)
+    at full rank (see _echelon)."""
+    W, pivots, delta = _echelon(M, True)
     rows = range(M.rows)
     return (W.submatrix(rows, range(M.cols)),
-            W.submatrix(rows, range(M.cols, W.cols)), pivots, d)
+            W.submatrix(rows, range(M.cols, W.cols)), pivots, delta)
 
 
 def rref(M):
@@ -607,30 +611,32 @@ def adjugate(M):
     """Transpose of the cofactor matrix; adj(M) * M = det(M) * I, defined
     also for singular M.
 
-    One run of the echelon loop gives R, T, pivots and det(M), and the
-    rank r decides.  At r = n the adjugate is det(M) * T.  Below n - 1
-    every (n-1)-minor vanishes, so it is zero.  At r = n - 1 it has rank
-    one, adj = c * x * y^t: M x = 0 for the null vector x of R at its free
-    column j, y^t M = 0 for the last row y of T, and the (j, i) entry, for
-    the first i with y_i != 0, fixes
-    c = (-1)^(i+j) * det(M without row i and column j) / y_i.
+    One run of the echelon loop gives R = T M, pivots and
+    delta = 1/det(T), and adj(M) = delta * adj(R) * T at every rank:
+    adj(T M) = adj(M) adj(T) and adj(T) = det(T) T^-1, so
+    adj(M) = adj(R) T / det(T).  The rank r decides adj(R).  At r = n,
+    R = I and the adjugate is delta * T.  Below n - 1, R has two zero rows,
+    so every (n-1)-minor of R has one and the adjugate is zero.  At
+    r = n - 1 only the minors without R's zero last row can be nonzero, so
+    adj(R) is zero outside its last column; R adj(R) = det(R) I = 0 puts
+    that column in the null space of R, spanned by the null vector x at
+    R's free column j, and its entry j is (-1)^(j+n-1) times the minor of
+    R without its last row and column j, the identity.  So the column is
+    (-1)^(j+n-1) x and adj(M) = (-1)^(j+n-1) * delta * x * y^t, y the last
+    row of T.
     """
     if M.rows != M.cols:
         raise LengthMismatch("adjugate of a non-square matrix")
     F, n = M.field, M.rows
-    R, T, pivots, d = _rref(M)
+    R, T, pivots, delta = _rref(M)
     if len(pivots) == n:
-        return T.scale(d)
+        return T.scale(delta)
     if len(pivots) < n - 1:
         return Matrix.zeros(F, n, n)
     j = next(c for c in range(n) if c not in pivots)
-    x = _null_rows(R, pivots, [j]).row(0)
-    y = T.row(n - 1)
-    i = next(k for k, v in enumerate(y) if v)
-    minor = det(M.submatrix([k for k in range(n) if k != i],
-                            [k for k in range(n) if k != j]))
-    c = minor * F.inv(y[i]) * (-1) ** (i + j)
-    return Matrix._trusted(F, [vec_scale(F, c * u, y) for u in x], n)
+    c = (-1) ** (j + n - 1) * delta
+    return Matrix._trusted(F, [vec_scale(F, c * u, T.row(n - 1))
+                               for u in _null_rows(R, pivots, [j]).row(0)], n)
 
 
 class Subspace:
@@ -650,6 +656,7 @@ class Subspace:
     def __init__(self, field, ambient_dim, basis):
         if not (isinstance(basis, Matrix) and basis.field == field
                 and basis.cols == _dimension(ambient_dim)
+                and basis.rows <= ambient_dim
                 and _echelon(basis, False)[0] == basis):
             raise ValidationError("a subspace basis is a Matrix of "
                                   "ambient_dim columns over the field, in "

@@ -144,6 +144,8 @@ class MetricSpace:
         self.field = field
         self.n = n
         self._basis = Matrix(field, s_basis, cols=n)
+        if self._basis.rows > n:
+            raise LengthMismatch("s_basis is linearly dependent")
         R, self._span_t, pivots = rref(self._basis)
         self.subspace = Subspace._trusted(
             field, n, R.submatrix(range(len(pivots)), range(n)))

@@ -107,7 +107,7 @@ class SimilarityReport:
         self.ratio = ratio
         self.primal_ok = primal_ok
         self.dual_ok = dual_ok
-        self.blocks = blocks            # {(r, s): Matrix} for r <= s blocks
+        self.blocks = blocks            # {(r, s): Matrix}, all nine blocks
         self.zero_blocks_ok = zero_blocks_ok  # {(2,1): bool, ...}
 
 

@@ -8,8 +8,14 @@ from hypothesis import strategies as st
 
 from dualform import Matrix, MetricSpace, QuadraticForm, rank
 
+# derandomize fixes the seed, yet hypothesis also draws from the literals
+# of every loaded module, which it has no switch to turn off, so an example
+# can depend on the code and on the tests run before; print_blob prints
+# the @reproduce_failure line that replays a failure seen in the full
+# suite on its own.
 PROPERTY = hypothesis.settings(max_examples=60, deadline=None,
-                               derandomize=True, database=None)
+                               derandomize=True, database=None,
+                               print_blob=True)
 
 
 def scalars(F):

@@ -6,8 +6,7 @@ import sys
 
 import pytest
 
-from dualform import (Matrix, ValidationError, adjugate, cli, det, linalg,
-                      rank)
+from dualform import Matrix, ValidationError, adjugate, cli, det, linalg
 from dualform.cli import MAX_DIGITS, MAX_DIM, main, parse_problem
 from helpers import FQ
 
@@ -197,10 +196,14 @@ class TestErrorPaths:
         assert err.startswith("error:")
 
     def test_bad_field_flag(self, capsys):
-        code, _, err = run_cli(capsys, "radical", fx("paper5.json"),
-                               "--field", "six")
-        assert code == 1
-        assert "--field" in err
+        """--field reads 'rational' or ASCII digits only: not int()'s
+        underscores, non-ASCII digits or sign."""
+        for flag in ("six", "1_1", "\u0663", "+7"):
+            code, _, err = run_cli(capsys, "radical", fx("paper5.json"),
+                                   "--field", flag)
+            assert code == 1, flag
+            assert err.startswith(
+                "error: --field must be 'rational' or a prime"), flag
 
     def test_composite_field_flag(self, capsys):
         code, _, _ = run_cli(capsys, "radical", fx("paper5.json"),
@@ -310,10 +313,10 @@ def test_deep_nesting_is_an_error_line(capsys, tmp_path):
 ], ids=["rational", "gf7", "corank-1", "corank-2", "empty"])
 def test_adjugate_command_computes_det_once(capsys, monkeypatch, tmp_path,
                                             field, rows, det_out):
-    """det is read off the adjugate's first row: the command calls det
-    only for the minor of a rank n - 1 adjugate (at full rank the
-    adjugate's elimination yields det), and prints the same bytes as det
-    and adjugate computed separately."""
+    """det is read off the adjugate's first row: the command never calls
+    det (the adjugate's one elimination yields all it needs at every
+    rank), and prints the same bytes as det and adjugate computed
+    separately."""
     dets = []
 
     def counting(M):
@@ -328,7 +331,7 @@ def test_adjugate_command_computes_det_once(capsys, monkeypatch, tmp_path,
     F = cli._field_from_doc(field)
     M = Matrix(F, [[F.parse(x) for x in row] for row in rows],
                cols=len(rows))
-    assert len(dets) == int(rank(M) == M.rows - 1)
+    assert dets == []
     monkeypatch.undo()
     assert det(M) == F.parse(det_out)
     expected = {"det": det_out,

@@ -229,9 +229,8 @@ def test_det_bareiss_matches_gf():
 @pytest.mark.parametrize("n", [1, 6, 12])
 @pytest.mark.parametrize("F", [FQ, F3], ids=repr)
 def test_adjugate_eliminates_once(monkeypatch, F, n):
-    """adjugate reads R, T and det(M) off one elimination: full rank and
-    ranks below n - 1 run no other, rank n - 1 adds the one determinant
-    of an (n-1) x (n-1) minor, itself one elimination."""
+    """adjugate reads R, T and delta = 1/det(T) off one n x n elimination
+    with its transform and computes no determinant, at every rank."""
     rng = random.Random(n)
     rrefs = record_calls(monkeypatch, linalg.rref, linalg._echelon)
     dets = record_calls(monkeypatch, linalg.det)
@@ -239,10 +238,8 @@ def test_adjugate_eliminates_once(monkeypatch, F, n):
         M = matrix_of_rank(rng, F, n, r)
         del rrefs[:], dets[:]
         adjugate(M)
-        minor = [(n - 1, n - 1)] if r == n - 1 else []
-        assert rrefs == [("_echelon", n, n)] + \
-            [("_echelon",) + shape for shape in minor], r
-        assert dets == [("det",) + shape for shape in minor], r
+        assert rrefs == [("_echelon", n, n)], r
+        assert dets == [], r
 
 
 def _greedy_completion(F, prefix, candidates):
@@ -287,13 +284,24 @@ def _echelon_rows(M, transform):
     return [list(row) for row in W.data], pivots
 
 
+def _assert_delta(M):
+    """With its transform the echelon loop returns delta with
+    delta det(T) = 1 at every rank, and delta = det(M) at full rank."""
+    F = M.field
+    W, pivots, delta = _echelon(M, True)
+    T = W.submatrix(range(M.rows), range(M.cols, W.cols))
+    assert F.mul(delta, det(T)) == F.one
+    if len(pivots) == M.rows == M.cols:
+        assert delta == det(M)
+
+
 @pytest.mark.parametrize("F", [FQ, F2, F3, make_field("prime", 2**31 - 1)],
                          ids=repr)
 def test_echelon_without_transform_matches_rref(F):
     """Without T the echelon loop returns rref's nonzero rows of R and its
     pivots: on 0-row and 0-column shapes, on wide rational entries and on
     rank-deficient inputs, whose dependent rows reduce to zero (gcd 0 over
-    the rationals)."""
+    the rationals).  With T its delta is 1/det(T) at every rank."""
     rng = random.Random(F.characteristic() + 137)
     deficient = 0
     for rows, cols in wide_shapes(rng, 60) + [(3, 2), (4, 4)]:
@@ -307,6 +315,7 @@ def test_echelon_without_transform_matches_rref(F):
         R, _, pivots = rref(M)
         ech, ech_pivots, d = _echelon(M, False)
         assert d == (det(M) if rows == cols else F.zero)
+        _assert_delta(M)
         assert ech_pivots == pivots
         assert ech.data == R.data[:len(pivots)]
         assert all(type(x) is type(F.zero) for row in ech.data for x in row)
@@ -475,15 +484,15 @@ def _gfp_matrices(rng, F, count):
 @pytest.mark.parametrize("F", [F2, F3, F5, GF_WORD], ids=repr)
 def test_packed_echelon_matches_reference(F):
     """The packed-row loop returns the list elimination's rows and pivots,
-    with and without T, and rref, rank and kernel agree with it."""
+    with and without T, and rref, rank and kernel agree with it; with T
+    its delta is 1/det(T) at every rank and det(M) at full rank."""
     rng = random.Random(F.characteristic() + 149)
     deficient = 0
     for M in _gfp_matrices(rng, F, 40):
         rows, pivots = echelon_gfp_reference(M, True)
         assert _echelon_rows(M, True) == (rows, pivots)
         assert _echelon_rows(M, False) == echelon_gfp_reference(M, False)
-        if M.rows == M.cols:
-            assert _echelon(M, True)[2] == det(M)
+        _assert_delta(M)
         R, T, rref_pivots = rref(M)
         assert R.data == tuple(tuple(row[:M.cols]) for row in rows)
         assert T.data == tuple(tuple(row[M.cols:]) for row in rows)
@@ -527,7 +536,8 @@ def test_every_slot_width_matches_reference(p, n, nb):
     which then reaches p - 1 + (n - 1) (p - 1)^2, past the next narrower
     width.  GF(3) at n = 63 and GF(5) at n = 15 are the widest 1-byte
     cases, whose last slot reaches 250 and 228, next to their first
-    2-byte neighbours."""
+    2-byte neighbours.  An n x 1 matrix packs rows of width 1 without T.
+    With T delta is 1/det(T) at every rank and det(M) at full rank."""
     F = make_field("prime", p)
     assert _slot(p + n * (p - 1) ** 2)[0] == nb
     assert _slot(n * (p - 1) ** 2 + 1)[0] == nb
@@ -539,8 +549,14 @@ def test_every_slot_width_matches_reference(p, n, nb):
                          for c in range(n - 1)] + last),
               matrix_of_rank(rng, F, n, n - 1)):
         assert _echelon_rows(M, True) == echelon_gfp_reference(M, True)
-        assert _echelon(M, True)[2] == det(M)
+        _assert_delta(M)
         assert M.mul(M) == mul_gfp_reference(M, M)
+    column = Matrix(F, [[p - 1]] + [random_vector(rng, F, 1)
+                                    for _ in range(n - 1)], cols=1)
+    for transform in (False, True):
+        assert _echelon_rows(column, transform) == \
+            echelon_gfp_reference(column, transform)
+    assert M.mul(column) == mul_gfp_reference(M, column)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
@@ -586,14 +602,15 @@ def test_folded_wide_slots_are_the_slot_values_mod_p(p, k):
     elimination bound p + k (p - 1)^2, the most a slot can hold after k
     row operations, and with random values up to it, the values _slots
     returns are the slot values mod p, up to one reduction, for k up to
-    the largest row or column count the fold's 2^94 bound allows."""
+    the largest row or column count the fold's 2^94 bound allows, one
+    slot among them."""
     top = p + k * (p - 1) ** 2
     assert top < 2**94
     nb, code = _slot(top + 1)
     assert nb == 16
     rng = random.Random(p + k)
     count = rng.randint(2, 9)
-    for values in ([top] * count,
+    for values in ([top] * count, [top],
                    [rng.randint(0, top) for _ in range(count)],
                    [top, 0, p, p - 1, 2**63, 2**64 - 1, 2**64]):
         x = sum(v << 128 * j for j, v in enumerate(values))

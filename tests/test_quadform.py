@@ -30,6 +30,20 @@ class TestInit:
         with pytest.raises(LengthMismatch):
             QuadraticForm(FQ, [1, 2], {key: 3})
 
+    @pytest.mark.parametrize("F", [FQ, F2], ids=repr)
+    def test_more_vectors_than_n_are_refused_without_elimination(
+            self, monkeypatch, F):
+        """Four vectors in F^3 are dependent by their count alone:
+        MetricSpace and Subspace refuse them before any echelon."""
+        calls = record_calls(monkeypatch, linalg._echelon)
+        rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+        with pytest.raises(LengthMismatch,
+                           match="^s_basis is linearly dependent$"):
+            MetricSpace(F, 3, rows, QuadraticForm(F, [1] * 4, {}))
+        with pytest.raises(ValidationError):
+            Subspace(F, 3, Matrix(F, rows))
+        assert calls == []
+
     @pytest.mark.parametrize("upper", [[((0, 1), 3)], [(0, 1, 3)], 5, "01"],
                              ids=repr)
     def test_upper_that_is_not_a_mapping(self, upper):

@@ -1,14 +1,16 @@
 """Count the code lines of the dualform package, per module and in total.
 
-    python3 tools/code_lines.py [PACKAGE_DIR]
+    python3 tools/code_lines.py [BASE_DIR]
 
-PACKAGE_DIR defaults to the checkout's src/dualform.  A code line is a
+The package counted is the checkout's src/dualform.  A code line is a
 source line that holds at least one token other than a comment, a newline
 or an indent change, and that lies outside every docstring: the string
 expression that opens a module, class or function body, found on the AST.
 Blank lines, comment lines and docstrings are left out, so the count moves
 only with the code itself.  It prints one line per module and the total,
-and sets no threshold.
+and sets no threshold.  Given BASE_DIR, another copy of the package (say
+the base commit's), each line gives the base count, this checkout's count
+and their difference, a module missing on one side counting 0 there.
 """
 
 import ast
@@ -46,16 +48,30 @@ def code_lines(source):
     return len(lines - docs)
 
 
-def main(argv):
-    package = argv[0] if argv else os.path.join(ROOT, "src", "dualform")
-    total = 0
+def package_lines(package):
+    """{module file name: code lines} for the .py files of package."""
+    counts = {}
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name), encoding="utf-8") as f:
-                count = code_lines(f.read())
-            total += count
+                counts[name] = code_lines(f.read())
+    return counts
+
+
+def main(argv):
+    head = package_lines(os.path.join(ROOT, "src", "dualform"))
+    if not argv:
+        for name, count in head.items():
             print(f"{name:20} {count:5}")
-    print(f"{'total':20} {total:5}")
+        print(f"{'total':20} {sum(head.values()):5}")
+        return
+    base = package_lines(argv[0])
+    print(f"{'module':20} {'base':>5} {'head':>5} {'diff':>5}")
+    rows = [(name, base.get(name, 0), head.get(name, 0))
+            for name in sorted(base.keys() | head.keys())]
+    rows.append(("total", sum(base.values()), sum(head.values())))
+    for name, b, h in rows:
+        print(f"{name:20} {b:5} {h:5} {h - b:+5}")
 
 
 if __name__ == "__main__":
