@@ -13,9 +13,10 @@ coset chasing via linked_coset(), kept separate so tests can cross-validate.
 
 from itertools import compress, repeat
 
-from .errors import NotInSHat, RadicalConditionViolated
+from .errors import NotInSHat, RadicalConditionViolated, ValidationError
 from .linalg import (Matrix, Subspace, _canon, _dual_rows, _particular,
-                     _row_dots, annihilator, invert_matrix, kernel, vec_add)
+                     _row_dots, _sequence, annihilator, invert_matrix, kernel,
+                     vec_add)
 from .quadform import MetricSpace, QuadraticForm, Radical
 
 
@@ -301,6 +302,9 @@ def converse_relation_check(inst, pairs):
     dual-side verdict for (x, a*) under the identification of the double
     dual with F^n.
     """
+    pairs = [_sequence(pair) for pair in _sequence(pairs)]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValidationError("each pair is a form and a vector: (a_star, x)")
     dres = inst._fact("_dual", dualize)
     for a_star, x in pairs:
         primal = b_linked(inst, a_star, x)

@@ -30,6 +30,14 @@ def _sequence(x):
     return x
 
 
+def _instance(x, cls):
+    """x, if it is an instance of cls; ValidationError for anything else,
+    a Matrix or a list in place of a LinearMap among them."""
+    if not isinstance(x, cls):
+        raise ValidationError(f"{type(x).__name__} is not a {cls.__name__}")
+    return x
+
+
 def _dimension(n):
     """n, if it is an int >= 0 other than a bool; ValidationError for
     anything else."""
@@ -841,7 +849,8 @@ def extend_basis(inner, outer):
     of those d x dim(outer) coordinate rows with unit vectors (see
     complete_to_ambient).
     """
-    if inner.ambient_dim != outer.ambient_dim or inner.field != outer.field:
+    if _instance(inner, Subspace).ambient_dim != _instance(
+            outer, Subspace).ambient_dim or inner.field != outer.field:
         raise NotNested("subspaces live in different ambient spaces")
     coords = outer._coordinates(inner.basis)
     if coords is None:

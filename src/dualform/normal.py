@@ -7,12 +7,33 @@ the Gram block carries ones exactly on its minor (anti-) diagonal.
 
 Both run on one array of rows [G | C]: row i of C holds the s_basis
 coordinates of basis vector b_i, starting from the radical-first
-completion, and G is the polar Gram matrix on the b_i.  The step
-b_i <- b_i + f b_j adds f times row j to row i, then f times column j of G
-to column i; a swap exchanges two rows and the same two columns of G.
+completion b0_0, ..., b0_(m-1), and G starts as the polar Gram matrix on
+those.  A step b_i <- b_i + f b_j is one row operation: it adds f times
+row j to row i and writes nothing else.  With E the product of the steps'
+elementary matrices, the array then holds E G, that is
+G[i][j] = B(b_i, b0_j), where a congruence would hold E G E^t, that is
+B(b_i, b_j).  The column half is never read, because the two agree on
+the block of unprocessed vectors, and every entry a step reads lies in
+it: the diagonal for the pivot search, the (i, j) entries for the
+b_i <- b_i + b_j fallback and the pivot's row.  (A vector is processed
+once it is a pivot, or one of a pair in characteristic 2; the radical
+prefix, which no step touches, from the start.)
+
+Proof: each unprocessed b_l is b0_l plus processed vectors, to all of
+which it is B-orthogonal, so B(b_l, b_j) = B(b_l, b0_j) for unprocessed
+l and j.  A pivot sweep keeps this, as b_l - (B(b_l, b_k) / B(b_k, b_k))
+b_k is B-orthogonal to the pivot b_k.  In characteristic 2, where
+B(u, u) = 0 and B(u, v) = 1, the sweep for the pair (u, v) makes every
+remaining w' = w + B(u, w) v + B(v, w) u satisfy B(w', u) = B(w', v) = 0,
+so the rows-only values are exact on the remaining block again.  The fallback
+makes b_i = b0_i + b0_j plus processed vectors, and b_i turns pivot at
+once: its row stays exact, and of the column half only its diagonal is
+read, B(b_i, b_i) = G[i][i] + G[i][j] after the row operation.
+
 Each pivot test reads one entry of G and each step costs O(m), so a normal
-form costs O(m^3); its transform T is C transposed.  The radical prefix is
-never touched, so the result's first d basis vectors span the radical.
+form costs O(m^3); its transform T is C transposed, its columns in the
+pivot order.  The radical prefix is never touched, so the result's first d
+basis vectors span the radical.
 """
 
 from .dual import _check_radical_condition
@@ -41,13 +62,11 @@ def _gram_array(inst):
 
 
 def _add(a, i, j, f, p):
-    """b_i <- b_i + f b_j on [G | C] over GF(p), or the rationals at p = 0."""
+    """b_i <- b_i + f b_j on [G | C] over GF(p), or the rationals at p = 0:
+    one row operation, which writes row i only (see the module
+    docstring)."""
     a[i] = list(_canon(p, [x + f * y if y else x
                            for x, y in zip(a[i], a[j])]))
-    column = _canon(p, [row[i] + f * row[j] if row[j] else row[i]
-                        for row in a])
-    for row, x in zip(a, column):
-        row[i] = x
 
 
 def _result(inst, a, order, kind):
@@ -63,20 +82,22 @@ def diagonalize(inst):
         raise CharTwo("diagonalization requires characteristic != 2")
     m = inst.m
     a, d = _gram_array(inst)
+    order = list(range(m))  # order[k]: the row at pivot position k
     for k in range(d, m):
-        pivot = next((l for l in range(k, m) if a[l][l]), None)
+        pivot = next((l for l in order[k:] if a[l][l]), None)
         if pivot is None:  # the block is non-degenerate: some G[i][j] != 0
-            pivot, j = next((i, j) for i in range(k, m)
-                            for j in range(i + 1, m) if a[i][j])
+            pivot, j = next((i, j) for s, i in enumerate(order[k:], k)
+                            for j in order[s + 1:] if a[i][j])
             _add(a, pivot, j, 1, p)
-        a[k], a[pivot] = a[pivot], a[k]
-        for row in a:
-            row[k], row[pivot] = row[pivot], row[k]
-        inv = F.inv(a[k][k])
-        for l in range(k + 1, m):
-            if a[k][l]:
-                _add(a, l, k, -a[k][l] * inv, p)
-    return _result(inst, a, range(m), DIAGONAL)
+            # B(b_i, b_i) for the new b_i; F.inv reduces it mod p
+            a[pivot][pivot] += a[pivot][j]
+        # the pivot moves to position k, the row there to the pivot's place
+        order[order.index(pivot)], order[k] = order[k], pivot
+        inv = F.inv(a[pivot][pivot])
+        for l in order[k + 1:]:
+            if a[pivot][l]:
+                _add(a, l, pivot, -a[pivot][l] * inv, p)
+    return _result(inst, a, order, DIAGONAL)
 
 
 def char2_normal_form(inst):

@@ -11,8 +11,8 @@ from collections.abc import Mapping
 from itertools import compress
 
 from .errors import LengthMismatch, NotInSubspace, Singular, ValidationError
-from .linalg import (Matrix, Subspace, _canon, _row_dots, _sequence, kernel,
-                     rank, rref, vec_add)
+from .linalg import (Matrix, Subspace, _canon, _instance, _row_dots,
+                     _sequence, kernel, rank, rref, vec_add)
 
 
 class QuadraticForm:
@@ -151,9 +151,7 @@ class MetricSpace:
             field, n, R.submatrix(range(len(pivots)), range(n)))
         if len(pivots) != self.m:
             raise LengthMismatch("s_basis is linearly dependent")
-        if not isinstance(form, QuadraticForm):
-            raise ValidationError("form must be a QuadraticForm")
-        if form.m != self.m:
+        if _instance(form, QuadraticForm).m != self.m:
             raise LengthMismatch("coefficient table size != dim S")
         if form.field != field:
             raise LengthMismatch("form defined over a different field")
@@ -271,7 +269,7 @@ class MetricSpace:
         M[i][j] + M[j][i], exactly so in every characteristic.
         """
         m = self.m
-        if T.rows != m or T.cols != m:
+        if _instance(T, Matrix).rows != m or T.cols != m:
             raise LengthMismatch("change of basis must be m x m")
         if rank(T) != m:
             raise Singular("change of basis matrix is singular")

@@ -8,8 +8,8 @@ the plain matrix transpose.
 
 from .dual import _check_radical_condition, _linked_form, dualize
 from .errors import (IsotropicVector, LengthMismatch, NotInSubspace,
-                     Singular, ValidationError, ZeroRatio)
-from .linalg import Matrix, _canon, rank
+                     Singular, ZeroRatio)
+from .linalg import Matrix, _canon, _instance, rank
 from .quadform import QuadraticForm
 
 
@@ -19,9 +19,7 @@ class LinearMap:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        if not isinstance(matrix, Matrix):
-            raise ValidationError("a linear map is given by a Matrix")
-        if matrix.rows != matrix.cols:
+        if _instance(matrix, Matrix).rows != matrix.cols:
             raise LengthMismatch("linear map matrix must be square")
         if rank(matrix) != matrix.rows:
             raise Singular("linear map is not bijective")
@@ -51,7 +49,7 @@ class LinearMap:
 
 def transpose_map(psi):
     """The dual-side map with <psi^T(a*), x> = <a*, psi(x)>."""
-    return LinearMap._trusted(psi.matrix.transpose())
+    return LinearMap._trusted(_instance(psi, LinearMap).matrix.transpose())
 
 
 def verify_similarity(inst, psi, c):
@@ -61,7 +59,7 @@ def verify_similarity(inst, psi, c):
     equivalent to the pointwise condition in every characteristic.  For the
     zero form only ratio 1 is accepted.
     """
-    c = _ratio(inst.field, c)
+    c, psi = _ratio(inst.field, c), _instance(psi, LinearMap)
     return _scales_form(inst, _image_coords(inst, psi), c)
 
 
@@ -116,7 +114,7 @@ def theorem_psi_check(inst, psi, c):
     dual-side condition for the transposed map; report both verdicts and
     the adapted-basis block structure of the extension matrix.  The dual
     is the instance's shared one, so repeated checks dualize it once."""
-    c = _ratio(inst.field, c)
+    c, psi = _ratio(inst.field, c), _instance(psi, LinearMap)
     dres = inst._fact("_dual", dualize)
     images = _image_coords(inst, psi)
     primal = _scales_form(inst, images, c)

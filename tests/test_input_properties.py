@@ -14,11 +14,13 @@ or with a zero denominator, and over GF(p) a fraction whose denominator p
 divides.
 
 A malformed container is a value that stands where a vector, a matrix,
-a form's diagonal, a map or a form belongs and is none: ``None``, an int,
-text or bytes (of the right length, too), a mapping or a set in place of
-a sequence, a bare ``list`` in place of a ``Matrix``, a diagonal in place
-of a ``QuadraticForm``, and an ambient dimension or column count that is
-not an int of at least 0, with rows it would otherwise fit.  Each is
+a form's diagonal, a map, a form, a subspace or a list of pairs belongs
+and is none: ``None``, an int, text or bytes (of the right length, too),
+a mapping or a set in place of a sequence, a bare ``list`` in place of a
+``Matrix``, a ``Matrix`` or a bare list in place of a ``LinearMap`` or a
+``Subspace``, a diagonal in place of a ``QuadraticForm``, a pair of
+another length, and an ambient dimension or column count that is not an
+int of at least 0, with rows it would otherwise fit.  Each is
 refused where it enters, not read by its length, keys or characters.  A
 ``Subspace`` basis is refused unless it is a ``Matrix`` over the field,
 of the ambient width, equal to its own canonical echelon."""
@@ -32,7 +34,7 @@ from dualform import (AlgebraError, LinearMap, Matrix, MetricSpace,
                       PrimeField, QuadraticForm, Subspace, b_linked,
                       converse_relation_check, extend_basis, linked_coset,
                       linked_forms, make_field, reflection, solve,
-                      theorem_psi_check, verify_similarity)
+                      theorem_psi_check, transpose_map, verify_similarity)
 from dualform import fields
 from helpers import F2, F3, FQ
 
@@ -134,6 +136,12 @@ def _zero_form(inst):
 
 def _identity(F, n):
     return LinearMap(Matrix.identity(F, n))
+
+
+def _not_a_map(draw, F, inst):
+    """A Matrix or a bare list of rows in place of a LinearMap."""
+    eye = Matrix.identity(F, inst.n)
+    return draw(st.sampled_from([eye, [list(r) for r in eye.data]]))
 
 
 # name -> builder(draw, F, inst) of (function, *arguments), a call that
@@ -251,6 +259,24 @@ ENTRIES = {
             [None, {}, list(inst.form.diag), "0" * inst.m]))),
     "Field.parse.container": lambda draw, F, inst: (
         F.parse, draw(st.sampled_from([None, 3, b"1", ["1"], Fraction(1)]))),
+    "converse_relation_check.container": lambda draw, F, inst: (
+        converse_relation_check, inst, draw(st.sampled_from(
+            [None, 5, "ab", [5], [(_zero_form(inst),) * 3],
+             [(_zero_form(inst),)], {(): 1}]))),
+    "verify_similarity.container": lambda draw, F, inst: (
+        verify_similarity, inst, _not_a_map(draw, F, inst), 1),
+    "theorem_psi_check.container": lambda draw, F, inst: (
+        theorem_psi_check, inst, _not_a_map(draw, F, inst), 1),
+    "transpose_map": lambda draw, F, inst: (
+        transpose_map, _not_a_map(draw, F, inst)),
+    "change_of_basis.container": lambda draw, F, inst: (
+        inst.change_of_basis, draw(st.sampled_from(
+            [[list(r) for r in Matrix.identity(F, inst.m).data], None]))),
+    "extend_basis.container": lambda draw, F, inst: (
+        extend_basis, *draw(st.sampled_from(
+            [(inst.subspace.basis, inst.subspace.basis),
+             (inst.subspace, inst.subspace.basis),
+             (inst.subspace.basis, inst.subspace)]))),
     "make_field": lambda draw, F, inst: (make_field, *draw(st.sampled_from(
         [(3,), (None,), (b"prime", 7), ("prime", 7.0), ("prime", "7"),
          ("prime",), ("prime", 9), ("finite", 7)]))),

@@ -6,7 +6,7 @@ import pytest
 from dualform import (CharTwo, DIAGONAL, MINOR_DIAGONAL_CHAR2, Matrix,
                       MetricSpace, NotCharTwo, QuadraticForm,
                       RadicalConditionViolated, char2_normal_form,
-                      diagonalize, dualize, invert_matrix)
+                      diagonalize, dualize, invert_matrix, make_field)
 from helpers import (ALL_FIELDS, F2, F3, F5, FQ, hyperbolic_gf2, paper5,
                      pairwise_char2_normal_form, pairwise_diagonalize,
                      rad_char2, random_instance_with_condition,
@@ -207,30 +207,50 @@ def _reference_cases(rng, F):
                 yield inst
 
 
-@pytest.mark.parametrize("F", ALL_FIELDS, ids=["Q", "GF2", "GF3", "GF5"])
+def _late_trick(F):
+    """Q = x0^2 + x1^2 + x2^2 + 2 x0 x1 + 2 x0 x2 + 3 x1 x2 on F^3: B(e_l, e_l)
+    = 2 = B(e_0, e_l), so after pivot 0 the remaining diagonal is zero and
+    b_1 <- b_1 + b_2 runs after a first pivot."""
+    form = QuadraticForm(F, [1, 1, 1], {(0, 1): 2, (0, 2): 2, (1, 2): 3})
+    return MetricSpace(F, 3, Matrix.identity(F, 3).data, form)
+
+
+@pytest.mark.parametrize("F", ALL_FIELDS + (make_field("prime", 2**31 - 1),),
+                         ids=["Q", "GF2", "GF3", "GF5", "GF(2^31-1)"])
 def test_matches_pairwise_reference(F):
     """The congruence steps on [G | C] reproduce the pairwise algorithm,
     which evaluates B on coordinate columns, exactly: same T, same
     normalized form, same kind."""
     rng = random.Random(239)
-    seen = {"radical": 0, "trick": 0, "empty": 0}
-    for _ in range(4):
-        for inst in _reference_cases(rng, F):
-            if F is F2:
-                res = char2_normal_form(inst)
-                T, normalized = pairwise_char2_normal_form(inst)
-                kind = MINOR_DIAGONAL_CHAR2
-            else:
-                res = diagonalize(inst)
-                T, normalized = pairwise_diagonalize(inst)
-                kind = DIAGONAL
-            assert (res.T, res.normalized, res.kind) == (T, normalized, kind)
-            d = inst.radical().dim
-            seen["radical"] += d > 0
-            # a zero diagonal stays zero on the radical-first completion
-            # by unit vectors, so the first pivot needs b_i <- b_i + b_j
-            seen["trick"] += inst.m > d and not any(inst.form.diag)
-            seen["empty"] += inst.m == 0
+    cases = [inst for _ in range(4) for inst in _reference_cases(rng, F)]
+    late = None if F is F2 else _late_trick(F)
+    seen = {"radical": 0, "trick": 0, "empty": 0,
+            "two pairs" if F is F2 else "late trick": 0}
+    for inst in cases + [late] * (late is not None):
+        if F is F2:
+            res = char2_normal_form(inst)
+            T, normalized = pairwise_char2_normal_form(inst)
+            kind = MINOR_DIAGONAL_CHAR2
+        else:
+            res = diagonalize(inst)
+            T, normalized = pairwise_diagonalize(inst)
+            kind = DIAGONAL
+        assert (res.T, res.normalized, res.kind) == (T, normalized, kind)
+        d = inst.radical().dim
+        seen["radical"] += d > 0
+        # a zero diagonal stays zero on the radical-first completion
+        # by unit vectors, so the first pivot needs b_i <- b_i + b_j
+        seen["trick"] += inst.m > d and not any(inst.form.diag)
+        seen["empty"] += inst.m == 0
+        if F is F2:
+            seen["two pairs"] += inst.m - d >= 4
+        elif inst is late:
+            # pivot 0 leaves G[l][l] - G[0][l]^2 / G[0][0] = 0, l = 1, 2
+            g = inst.polar_gram()
+            assert d == 0 and not F.is_zero(g[0, 0])
+            assert all(F.mul(g[l, l], g[0, 0]) == F.mul(g[0, l], g[0, l])
+                       for l in (1, 2))
+            seen["late trick"] += 1
     assert all(seen.values()), seen
 
 
