@@ -4,17 +4,31 @@ Scalars travel as strings ("-3/2", "4"; decimal residues over GF(p)) so the
 wire format stays exact.  Indices in files are 0-based.  Exit codes: 0 on
 success, 1 on parse/validation errors, 2 when no dual form exists because
 the form fails to vanish on its radical.
+
+A row of wire scalars (an S vector, Q's diagonal, Q's upper values, a row
+of P or M, --form or --vector) is read by one match of the row grammar,
+the field's scalar grammar between optional whitespace with the entries
+joined by a comma, and converted by builtins.  A row that the grammar
+refuses, or that holds a non-text entry, an entry longer than MAX_DIGITS
+characters or a zero denominator, is read scalar by scalar, so every
+error and its order are those of the scalar reader.  The result document
+goes to stdout as the indent-2 JSON that ``json.dumps(doc, indent=2)``
+would print, followed by a newline.
 """
 
 import argparse
 import functools
 import json
+import re
 import sys
+from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 
 from .dual import double_dual_check, dualize, linked_coset, linked_forms
 from .errors import (AlgebraError, ParseError, RadicalConditionViolated,
                      ValidationError)
-from .fields import make_field
+from .fields import _RATIONAL, _RESIDUE, make_field
 from .linalg import Matrix, adjugate, dot
 from .normal import char2_normal_form, diagonalize
 from .quadform import MetricSpace, QuadraticForm
@@ -29,6 +43,10 @@ MAX_DIM = 512
 # scalar is refused before any arithmetic on it.
 MAX_DIGITS = 1000
 _INT_LIMIT = 10 ** MAX_DIGITS
+# Neither the scalar grammars nor whitespace accept the comma, so in a row
+# that the row grammar matches each comma separates two tokens.
+_ROW = {g: re.compile(rf"\s*(?:{g.pattern})\s*(?:,\s*(?:{g.pattern})\s*)*")
+        for g in (_RATIONAL, _RESIDUE)}
 
 
 def _load_json(text):
@@ -102,6 +120,39 @@ def _parse_scalar(field, value, where):
     raise ValidationError(f"bad scalar {value!r} in {where}")
 
 
+def _read_row(field, row):
+    """The wire scalars of the list row as field elements, equal to
+    _parse_scalar's, by one match of the row grammar; None for an empty
+    row, or if an entry is not text, is longer than MAX_DIGITS
+    characters, contains a comma or does not match, or over the rationals
+    has a zero denominator."""
+    try:
+        text = ",".join(row)
+    except TypeError:  # an entry that is not text
+        return None
+    if len(text) > MAX_DIGITS and max(map(len, row)) > MAX_DIGITS:
+        return None
+    p = field.characteristic()
+    if not _ROW[_RESIDUE if p else _RATIONAL].fullmatch(text):
+        return None
+    tokens = text.replace(",", " ").split()
+    if len(tokens) != len(row):  # an entry contained a comma
+        return None
+    if p:
+        return [x % p for x in map(int, tokens)]
+    try:
+        return [Fraction(int(num), int(den)) if den else Fraction(int(num))
+                for num, _, den in (t.partition("/") for t in tokens)]
+    except ZeroDivisionError:
+        return None
+
+
+def _parse_row(field, row, where):
+    """The list row of wire scalars as a list of field elements."""
+    return _read_row(field, row) or [_parse_scalar(field, x, where)
+                                     for x in row]
+
+
 def parse_problem(text, field_override=None):
     """Problem file -> MetricSpace; location-carrying errors otherwise."""
     doc = _document(_load_json(text) if isinstance(text, str) else text)
@@ -120,7 +171,7 @@ def parse_problem(text, field_override=None):
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise ValidationError(f"S[{r}] must be a vector of length {n}")
-        basis.append([_parse_scalar(field, x, f"S[{r}]") for x in row])
+        basis.append(_parse_row(field, row, f"S[{r}]"))
     q = doc["Q"]
     if not isinstance(q, dict) or "diag" not in q:
         raise ValidationError("'Q' must be an object with 'diag'")
@@ -128,12 +179,17 @@ def parse_problem(text, field_override=None):
     diag = q["diag"]
     if not isinstance(diag, list) or len(diag) != m:
         raise ValidationError(f"Q.diag must list {m} scalars")
-    diag = [_parse_scalar(field, x, "Q.diag") for x in diag]
+    diag = _parse_row(field, diag, "Q.diag")
     entries = q.get("upper", [])
     if not isinstance(entries, list):
         raise ValidationError("Q.upper must be a list")
+    # The values read as one row: when that succeeds no scalar error can
+    # come first, so the loop raises the first error of an entry's shape
+    # or indices, as it does when it reads each value after its indices.
+    values = _read_row(field, [e[2] if isinstance(e, list) and len(e) == 3
+                               else None for e in entries])
     upper = {}
-    for entry in entries:
+    for k, entry in enumerate(entries):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise ValidationError("Q.upper entries must be [i, j, value]")
         i, j, v = entry
@@ -142,27 +198,40 @@ def parse_problem(text, field_override=None):
                                   f"or range")
         if (i, j) in upper:
             raise ValidationError(f"Q.upper pair ({i}, {j}) listed twice")
-        upper[(i, j)] = _parse_scalar(field, v, f"Q.upper[{i},{j}]")
+        upper[(i, j)] = values[k] if values else _parse_scalar(
+            field, v, f"Q.upper[{i},{j}]")
     try:
         return MetricSpace(field, n, basis, QuadraticForm(field, diag, upper))
     except AlgebraError as exc:
         raise ValidationError(str(exc))
 
 
-def _fmt_vec(field, v):
-    return [field.format(x) for x in v]
+def _fmt_vec(v, den=1):
+    """The scalars of v over den as wire text; over the rationals v may be
+    the ints of a cleared row (see Matrix), each written as reduced
+    num/den text, as str writes its Fraction."""
+    try:
+        if den == 1:
+            return list(map(str, v))
+        return [str(x // den) if (g := gcd(x, den)) == den
+                else f"{x // g}/{den // g}" for x in v]
+    except ValueError:  # over Python's int/str conversion digit limit
+        raise ValidationError("result scalar has too many digits to print")
 
 
 def _fmt_mat(M):
-    return [_fmt_vec(M.field, M.row(i)) for i in range(M.rows)]
+    """The rows of M as wire text: a rational matrix held as cleared rows
+    is written from them, so that no Fraction is built."""
+    if M._q is None:  # rows of residues or of Fractions
+        return list(map(_fmt_vec, M.data))
+    return list(map(_fmt_vec, *M._q))
 
 
 def _fmt_form(field, form):
     return {
-        "diag": _fmt_vec(field, form.diag),
-        "upper": [[i, j, field.format(v)]
-                  for (i, j) in sorted(form.upper)
-                  for v in [form.upper[(i, j)]]],
+        "diag": _fmt_vec(form.diag),
+        "upper": [[i, j, field.format(form.upper[(i, j)])]
+                  for (i, j) in sorted(form.upper)],
     }
 
 
@@ -171,18 +240,18 @@ def _half_gram(inst):
     return _fmt_mat(inst.polar_gram().scale(F.halve(F.one)))
 
 
-def _fmt_coset(field, coset):
+def _fmt_coset(coset):
     return {
-        "representative": _fmt_vec(field, coset.representative),
+        "representative": _fmt_vec(coset.representative),
         "radical_basis": _fmt_mat(coset.radical.basis),
     }
 
 
 def _parse_vector_flag(field, text, n, name):
-    parts = [p for p in text.split(",")] if text else []
+    parts = [p.strip() for p in text.split(",")] if text else []
     if len(parts) != n:
         raise ValidationError(f"{name} must have {n} comma-separated entries")
-    return tuple(_parse_scalar(field, p.strip(), name) for p in parts)
+    return tuple(_parse_row(field, parts, name))
 
 
 def _cmd_radical(inst, args):
@@ -206,7 +275,7 @@ def _cmd_dualize(inst, args):
         "S_hat": _fmt_mat(res.s_hat.basis),
         "R_hat": _fmt_mat(res.r_hat.basis),
         "dual_coefficients": _fmt_form(F, res.dual.form),
-        "dual_basis": [_fmt_vec(F, b) for b in res.dual.s_basis],
+        "dual_basis": _fmt_mat(res.dual._basis),
         "adapted_basis_columns": _fmt_mat(ab.a.transpose()),
         "index_sets": {"I1": list(ab.i1), "I2": list(ab.i2),
                        "I3": list(ab.i3)},
@@ -225,12 +294,12 @@ def _cmd_double_dual(inst, args):
 
 def _cmd_linked(inst, args):
     f_star = _parse_vector_flag(inst.field, args.form, inst.n, "--form")
-    return _fmt_coset(inst.field, linked_coset(inst, f_star))
+    return _fmt_coset(linked_coset(inst, f_star))
 
 
 def _cmd_linked_forms(inst, args):
     s = _parse_vector_flag(inst.field, args.vector, inst.n, "--vector")
-    return _fmt_coset(inst.field, linked_forms(inst, s))
+    return _fmt_coset(linked_forms(inst, s))
 
 
 def _cmd_normalize(inst, args):
@@ -254,8 +323,8 @@ def _parse_square(field, rows, n, name):
     if not (isinstance(rows, list) and len(rows) == n
             and all(isinstance(r, list) and len(r) == n for r in rows)):
         raise ValidationError(f"{name} must be a {n} x {n} matrix")
-    return Matrix(field, [[_parse_scalar(field, x, name) for x in row]
-                          for row in rows], cols=n)
+    return Matrix(field, [_parse_row(field, row, name) for row in rows],
+                  cols=n)
 
 
 def _cmd_similarity(inst, args):
@@ -346,6 +415,31 @@ def build_parser():
     return ap
 
 
+def _dumps(doc, indent="\n"):
+    """json.dumps(doc, indent=2) for the values the commands build: dicts
+    with text keys, lists, text, bools and ints; the lines of a nested
+    value are led by indent."""
+    if isinstance(doc, str):
+        return _quote(doc)
+    if isinstance(doc, bool):
+        return "true" if doc else "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    if not isinstance(doc, (dict, list)):
+        raise TypeError(f"cannot write {type(doc).__name__} as JSON")
+    if not doc:
+        return "{}" if isinstance(doc, dict) else "[]"
+    inner = indent + "  "
+    if isinstance(doc, dict):
+        items = [_quote(k) + ": " + _dumps(v, inner) for k, v in doc.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    try:  # a row of text, the most common list
+        items = list(map(_quote, doc))
+    except TypeError:
+        items = [_dumps(v, inner) for v in doc]
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
 def run(args):
     if args.input == "-":
         text = sys.stdin.read()
@@ -369,7 +463,7 @@ def run(args):
     else:
         inst = parse_problem(doc, field_override=field)
         out = _COMMANDS[args.command](inst, args)
-    payload = json.dumps(out, indent=2) + "\n"
+    payload = _dumps(out) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload)

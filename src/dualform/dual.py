@@ -14,9 +14,9 @@ coset chasing via linked_coset(), kept separate so tests can cross-validate.
 from itertools import compress, repeat
 
 from .errors import NotInSHat, RadicalConditionViolated, ValidationError
-from .linalg import (Matrix, Subspace, _canon, _dual_rows, _particular,
-                     _row_dots, _sequence, annihilator, invert_matrix, kernel,
-                     vec_add)
+from .linalg import (Matrix, Subspace, _canon, _dual_rows, _instance,
+                     _particular, _row_dots, _sequence, annihilator,
+                     invert_matrix, kernel, vec_add)
 from .quadform import MetricSpace, QuadraticForm, Radical
 
 
@@ -77,7 +77,7 @@ class DualFormResult:
 def adapted_basis(inst):
     """Deterministic adapted basis for an instance, computed once and
     shared by every caller, so it must not be mutated."""
-    return inst._fact("_adapted", _adapted_basis)
+    return _instance(inst, MetricSpace)._fact("_adapted", _adapted_basis)
 
 
 def _adapted_basis(inst):
@@ -87,7 +87,9 @@ def _adapted_basis(inst):
     exactly when those rows are the unit vectors e_0, ..., e_(d-1) of
     F^m.  Otherwise the radical's canonical rows
     are completed inside S with S's canonical rows, by one d x m echelon
-    of the radical's coordinates rad_c over those.  Row i of the span
+    of the radical's coordinates rad_c over those.  The radical lies in S
+    and S's rows are in canonical RREF, so rad_c is read off, with no
+    solve: the radical's canonical rows at S's pivots.  Row i of the span
     transform T has the s_basis coordinates of canonical row i, so
     rad_c T has the radical's.  The S-basis is then completed to F^n with
     the standard basis vectors e_k, k in K, at which the canonical rows N
@@ -125,8 +127,7 @@ def _adapted_basis(inst):
         coords = Matrix.identity(F, m)
         top = T.transpose().mul(V)
     else:
-        rad_c = S._coordinates(rad.subspace.basis)
-        assert rad_c is not None  # the radical lies in S
+        rad_c = rad.subspace.basis.submatrix(range(d), S.pivots)
         H = kernel(rad_c)
         kept = H.pivots
         taken = set(kept)
@@ -155,14 +156,14 @@ def b_linked(inst, a_star, x):
     """Whether the form a* is linked to the vector x (both ambient):
     <a*, b_j> = B(x, b_j) = (G coords(x))_j for the polar Gram matrix G on
     s_basis, in every characteristic."""
-    coords = inst.coords_of(x)
+    coords = _instance(inst, MetricSpace).coords_of(x)
     a_star = _in_s_hat(inst, inst.radical(), a_star)
     return inst.polar_gram()._mul_vec(coords) == inst._basis._mul_vec(a_star)
 
 
 def linked_coset(inst, f_star):
     """All vectors of S linked to f*: a representative plus the radical."""
-    rad = inst.radical()
+    rad = _instance(inst, MetricSpace).radical()
     f_star = _in_s_hat(inst, rad, f_star)
     sol = _particular(inst.polar_gram(), inst._basis._mul_vec(f_star))
     assert sol is not None  # guaranteed once f* annihilates the radical
@@ -171,7 +172,8 @@ def linked_coset(inst, f_star):
 
 def linked_forms(inst, s):
     """Forms linked to s: a representative from G coords(s), plus ann(S)."""
-    return LinkedCoset(_linked_form(inst, inst.coords_of(s)),
+    coords = _instance(inst, MetricSpace).coords_of(s)
+    return LinkedCoset(_linked_form(inst, coords),
                        adapted_basis(inst).r_hat)
 
 
@@ -226,7 +228,7 @@ def dualize(inst):
 
     Each call builds a new result, which its caller owns.
     """
-    _check_radical_condition(inst)
+    _check_radical_condition(_instance(inst, MetricSpace))
     F = inst.field
     p = F.characteristic()
     ab = adapted_basis(inst)
@@ -285,7 +287,7 @@ def _dual_adapted(ab, rad):
 
 def double_dual_check(inst):
     """Dualize twice and compare with the original coefficients exactly."""
-    first = inst._fact("_dual", dualize)
+    first = _instance(inst, MetricSpace)._fact("_dual", dualize)
     second = dualize(first.dual)
     back = second.dual
     if back.subspace != inst.subspace:
@@ -302,6 +304,7 @@ def converse_relation_check(inst, pairs):
     dual-side verdict for (x, a*) under the identification of the double
     dual with F^n.
     """
+    _instance(inst, MetricSpace)
     pairs = [_sequence(pair) for pair in _sequence(pairs)]
     if any(len(pair) != 2 for pair in pairs):
         raise ValidationError("each pair is a form and a vector: (a_star, x)")

@@ -17,6 +17,7 @@ from itertools import repeat
 from math import gcd, lcm, prod
 
 from .errors import LengthMismatch, NotNested, Singular, ValidationError
+from .fields import Field
 
 
 def _sequence(x):
@@ -146,17 +147,21 @@ class Matrix:
     """Dense matrix over a Field; rows are tuples of canonical scalars.
 
     ``Matrix(field, data, cols)`` is the public constructor and the one
-    check of outside vectors: it raises ``ValidationError`` unless data
-    and every row are sequences other than text (see _sequence) and a
-    given ``cols`` is an int >= 0 (not a bool), and ``LengthMismatch``
-    unless every row has ``cols`` entries (by default, as many as the
-    first row), before it coerces any entry.  It reads each row whole,
-    by ``field._row``: a row of canonical scalars (all ``Fraction`` over
-    the rationals, all ``int`` in [0, p) over GF(p), read by a type set
-    and min and max) is kept as it is, and any other row goes through
-    ``field.scalar`` entry by entry, with scalar's errors in their order;
-    ``mul`` raises ``LengthMismatch`` for a product of
-    matrices over different fields.  The
+    check of outside vectors: it raises ``ValidationError`` unless field
+    is a Field, data and every row are sequences other than text (see
+    _sequence) and a given ``cols`` is an int >= 0 (not a bool), and
+    ``LengthMismatch`` unless every row has ``cols`` entries (by default,
+    as many as the first row), before it coerces any entry.  It reads
+    each row whole, by ``field._row``: a row of canonical scalars (all
+    ``Fraction`` over the rationals, all ``int`` in [0, p) over GF(p),
+    read by a type set and min and max) is kept as it is, and any other
+    row goes through ``field.scalar`` entry by entry, with scalar's
+    errors in their order; ``mul`` raises ``LengthMismatch`` for a
+    product of matrices over different fields.  ``ValidationError``
+    refuses a value of the wrong type where it enters: an operand of
+    ``mul`` or an argument of the module's public functions that is not
+    a Matrix (a Subspace for ``annihilator``), and a field or a size of
+    ``identity`` or ``zeros`` that is not a Field or an int >= 0.  The
     public methods that take outside scalars read them the same way:
     ``mul_vec``, and so ``solve``'s right-hand side and
     ``LinearMap.apply``, through ``Matrix(field, [v], cols)``, and
@@ -198,6 +203,7 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "data", "_q")
 
     def __init__(self, field, data, cols=None):
+        _instance(field, Field)
         data = tuple(_sequence(data))
         if cols is None:
             cols = len(_sequence(data[0])) if data else 0
@@ -273,11 +279,13 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n):
-        return cls._units(field, range(n), n)
+        return cls._units(_instance(field, Field), range(_dimension(n)), n)
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        return cls._trusted(field, [[field.zero] * cols] * rows, cols)
+        zero = _instance(field, Field).zero
+        return cls._trusted(field, [[zero] * _dimension(cols)]
+                            * _dimension(rows), cols)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -325,7 +333,7 @@ class Matrix:
         return Matrix._cleared(F, a + b, da + db, self.cols)
 
     def mul(self, other):
-        if self.cols != other.rows:
+        if self.cols != _instance(other, Matrix).rows:
             raise LengthMismatch("matrix product shape mismatch")
         F, m = self.field, other.cols
         if F is not other.field and F != other.field:
@@ -589,11 +597,11 @@ def rref(M):
     of pivot column indices in order, from one run of the echelon loop
     with its transform; rows of R below the rank are zero.
     """
-    return _rref(M)[:3]
+    return _rref(_instance(M, Matrix))[:3]
 
 
 def rank(M):
-    return len(_echelon(M, False)[1])
+    return len(_echelon(_instance(M, Matrix), False)[1])
 
 
 def det(M):
@@ -601,13 +609,13 @@ def det(M):
     transform: over GF(p) the signed product of the pivots, over the
     rationals the last Bareiss pivot of the rows cleared of denominators,
     divided by the product of their denominators."""
-    if M.rows != M.cols:
+    if _instance(M, Matrix).rows != M.cols:
         raise LengthMismatch("determinant of a non-square matrix")
     return _echelon(M, False)[2]
 
 
 def invert_matrix(M):
-    if M.rows != M.cols:
+    if _instance(M, Matrix).rows != M.cols:
         raise LengthMismatch("inverse of a non-square matrix")
     R, T, pivots = rref(M)
     if len(pivots) != M.rows:
@@ -633,7 +641,7 @@ def adjugate(M):
     (-1)^(j+n-1) x and adj(M) = (-1)^(j+n-1) * delta * x * y^t, y the last
     row of T.
     """
-    if M.rows != M.cols:
+    if _instance(M, Matrix).rows != M.cols:
         raise LengthMismatch("adjugate of a non-square matrix")
     F, n = M.field, M.rows
     R, T, pivots, delta = _rref(M)
@@ -776,7 +784,7 @@ def kernel(M):
     columns increase: the rows are already the canonical RREF of the null
     space, its pivots the free columns, and need no second echelon.
     """
-    W, pivots, _ = _echelon(_flipped(M), False)
+    W, pivots, _ = _echelon(_flipped(_instance(M, Matrix)), False)
     taken = set(pivots)
     free = [f for f in range(M.cols) if f not in taken]
     return Subspace._trusted(M.field, M.cols,
@@ -799,7 +807,8 @@ def _particular(M, b):
 def solve(M, b):
     """All solutions of M x = b as (particular, homogeneous) or None; the
     outside vector b is read like mul_vec's, with M.rows entries."""
-    x = _particular(M, Matrix(M.field, [b], cols=M.rows).row(0))
+    x = _particular(M, Matrix(_instance(M, Matrix).field, [b],
+                              cols=M.rows).row(0))
     return None if x is None else (x, kernel(M))
 
 
@@ -809,7 +818,7 @@ def annihilator(T):
     of T's canonical rows when dim <= n/2, else the echelon of the n - dim
     null rows of those rows (see _null_rows), which span the same space.
     Both give its canonical rows; at dim = n there are none to reduce."""
-    n, dim = T.ambient_dim, T.dim
+    n, dim = _instance(T, Subspace).ambient_dim, T.dim
     if 2 * dim <= n:
         return kernel(T.basis)
     taken = set(T.pivots)

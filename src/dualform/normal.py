@@ -38,7 +38,8 @@ basis vectors span the radical.
 
 from .dual import _check_radical_condition
 from .errors import CharTwo, NotCharTwo
-from .linalg import Matrix, _canon, complete_to_ambient
+from .linalg import Matrix, _canon, _instance, complete_to_ambient
+from .quadform import MetricSpace
 
 DIAGONAL = "diagonal"
 MINOR_DIAGONAL_CHAR2 = "minor-diagonal-char2"
@@ -77,7 +78,8 @@ def _result(inst, a, order, kind):
 
 def diagonalize(inst):
     """Diagonal congruence normal form (characteristic != 2)."""
-    F, p = inst.field, inst.field.characteristic()
+    F = _instance(inst, MetricSpace).field
+    p = F.characteristic()
     if p == 2:
         raise CharTwo("diagonalization requires characteristic != 2")
     m = inst.m
@@ -102,7 +104,7 @@ def diagonalize(inst):
 
 def char2_normal_form(inst):
     """Minor-diagonal alternating normal form (characteristic 2)."""
-    if inst.field.characteristic() != 2:
+    if _instance(inst, MetricSpace).field.characteristic() != 2:
         raise NotCharTwo("this normal form requires characteristic 2")
     _check_radical_condition(inst)
     a, d = _gram_array(inst)

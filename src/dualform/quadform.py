@@ -11,6 +11,7 @@ from collections.abc import Mapping
 from itertools import compress
 
 from .errors import LengthMismatch, NotInSubspace, Singular, ValidationError
+from .fields import Field
 from .linalg import (Matrix, Subspace, _canon, _instance, _row_dots,
                      _sequence, kernel, rank, rref, vec_add)
 
@@ -36,7 +37,7 @@ class QuadraticForm:
     __slots__ = ("field", "m", "diag", "upper", "_matrix", "_gram")
 
     def __init__(self, field, diag, upper=None):
-        self.field = field
+        self.field = _instance(field, Field)
         self.diag = field._row(_sequence(diag))
         self.m = m = len(self.diag)
         if not isinstance(upper, (Mapping, type(None))):

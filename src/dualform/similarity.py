@@ -10,7 +10,7 @@ from .dual import _check_radical_condition, _linked_form, dualize
 from .errors import (IsotropicVector, LengthMismatch, NotInSubspace,
                      Singular, ZeroRatio)
 from .linalg import Matrix, _canon, _instance, rank
-from .quadform import QuadraticForm
+from .quadform import MetricSpace, QuadraticForm
 
 
 class LinearMap:
@@ -59,7 +59,8 @@ def verify_similarity(inst, psi, c):
     equivalent to the pointwise condition in every characteristic.  For the
     zero form only ratio 1 is accepted.
     """
-    c, psi = _ratio(inst.field, c), _instance(psi, LinearMap)
+    F = _instance(inst, MetricSpace).field
+    c, psi = _ratio(F, c), _instance(psi, LinearMap)
     return _scales_form(inst, _image_coords(inst, psi), c)
 
 
@@ -114,7 +115,8 @@ def theorem_psi_check(inst, psi, c):
     dual-side condition for the transposed map; report both verdicts and
     the adapted-basis block structure of the extension matrix.  The dual
     is the instance's shared one, so repeated checks dualize it once."""
-    c, psi = _ratio(inst.field, c), _instance(psi, LinearMap)
+    F = _instance(inst, MetricSpace).field
+    c, psi = _ratio(F, c), _instance(psi, LinearMap)
     dres = inst._fact("_dual", dualize)
     images = _image_coords(inst, psi)
     primal = _scales_form(inst, images, c)
@@ -139,7 +141,7 @@ def reflection(inst, s):
     form f* used to build it.  The extension is an involution sending s to
     -s and fixing the kernel of f*.
     """
-    F = inst.field
+    F = _instance(inst, MetricSpace).field
     _check_radical_condition(inst)
     V = Matrix(F, [s], cols=inst.n)
     s, coords = V.row(0), inst._coords(V).column(0)

@@ -266,6 +266,22 @@ def test_malformed_input_is_an_error_line(capsys, tmp_path, argv, doc):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("upper, line", [
+    ([[0, 1, "x"], [2, 1, "1"]], "error: bad scalar 'x' in Q.upper[0,1]\n"),
+    ([[2, 1, "1"], [0, 1, "x"]],
+     "error: Q.upper index (2, 1) out of order or range\n"),
+], ids=["scalar-first", "index-first"])
+def test_the_first_bad_upper_entry_is_the_error_line(capsys, tmp_path,
+                                                     upper, line):
+    """Q.upper's values are read as one row, yet a bad scalar before a
+    bad index is the line printed, as a bad index before a bad scalar is:
+    the entries are refused in order."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_paper5_doc(
+        Q={"diag": ["0", "1/2", "3/2"], "upper": upper})))
+    assert run_cli(capsys, "radical", str(path)) == (1, "", line)
+
+
 def test_singular_map_is_an_error_line(capsys, tmp_path):
     path = tmp_path / "map.json"
     path.write_text(json.dumps({"P": [["1" if i == j < 4 else "0"

@@ -14,16 +14,26 @@ or with a zero denominator, and over GF(p) a fraction whose denominator p
 divides.
 
 A malformed container is a value that stands where a vector, a matrix,
-a form's diagonal, a map, a form, a subspace or a list of pairs belongs
-and is none: ``None``, an int, text or bytes (of the right length, too),
-a mapping or a set in place of a sequence, a bare ``list`` in place of a
-``Matrix``, a ``Matrix`` or a bare list in place of a ``LinearMap`` or a
-``Subspace``, a diagonal in place of a ``QuadraticForm``, a pair of
-another length, and an ambient dimension or column count that is not an
-int of at least 0, with rows it would otherwise fit.  Each is
-refused where it enters, not read by its length, keys or characters.  A
+a form's diagonal, a map, a form, a subspace, an instance, a field or a
+list of pairs belongs and is none: ``None``, an int, text or bytes (of
+the right length, too), a mapping or a set in place of a sequence, a
+bare ``list`` in place of a ``Matrix`` (for every function and method
+that takes one), a ``Matrix`` or a bare list in place of a ``LinearMap``
+or a ``Subspace``, a diagonal in place of a ``QuadraticForm``, ``None``,
+a form, a ``Matrix`` or a ``Subspace`` in place of a ``MetricSpace``,
+``None``, an int or text in place of a ``Field``, a pair of another
+length, and an ambient dimension, column count or size that is not an
+int of at least 0, with rows it would otherwise fit.  Each is refused
+where it enters, not read by its length, keys or characters.  A
 ``Subspace`` basis is refused unless it is a ``Matrix`` over the field,
-of the ambient width, equal to its own canonical echelon."""
+of the ambient width, equal to its own canonical echelon.
+
+Indices are the exception: a row or entry index out of range, as in
+``M.row(5)`` or ``M[5, 5]``, and an index list of ``submatrix`` raise
+what Python's sequences raise, ``IndexError`` or ``TypeError``.  That is
+the contract of every Python sequence, which a caller indexing a row
+already expects, and the library reads entries by index in its inner
+loops, where a check per read would cost on every computation."""
 
 from decimal import Decimal
 from fractions import Fraction
@@ -31,9 +41,12 @@ from fractions import Fraction
 import pytest
 
 from dualform import (AlgebraError, LinearMap, Matrix, MetricSpace,
-                      PrimeField, QuadraticForm, Subspace, b_linked,
-                      converse_relation_check, extend_basis, linked_coset,
-                      linked_forms, make_field, reflection, solve,
+                      PrimeField, QuadraticForm, Subspace, adapted_basis,
+                      adjugate, annihilator, b_linked, char2_normal_form,
+                      converse_relation_check, det, diagonalize,
+                      double_dual_check, dualize, extend_basis,
+                      invert_matrix, kernel, linked_coset, linked_forms,
+                      make_field, rank, reflection, rref, solve,
                       theorem_psi_check, transpose_map, verify_similarity)
 from dualform import fields
 from helpers import F2, F3, FQ
@@ -142,6 +155,21 @@ def _not_a_map(draw, F, inst):
     """A Matrix or a bare list of rows in place of a LinearMap."""
     eye = Matrix.identity(F, inst.n)
     return draw(st.sampled_from([eye, [list(r) for r in eye.data]]))
+
+
+def _bare_rows(F, inst):
+    """The rows of the n x n identity as a bare list, not a Matrix."""
+    return [list(r) for r in Matrix.identity(F, inst.n).data]
+
+
+def _not_an_instance(draw, inst):
+    """None, the form, the S-basis or S in place of a MetricSpace."""
+    return draw(st.sampled_from([None, inst.form, inst.subspace.basis,
+                                 inst.subspace]))
+
+
+def _not_a_field(draw):
+    return draw(st.sampled_from([None, 7, "rational"]))
 
 
 # name -> builder(draw, F, inst) of (function, *arguments), a call that
@@ -277,6 +305,61 @@ ENTRIES = {
             [(inst.subspace.basis, inst.subspace.basis),
              (inst.subspace, inst.subspace.basis),
              (inst.subspace.basis, inst.subspace)]))),
+    "rref.container": lambda draw, F, inst: (rref, _bare_rows(F, inst)),
+    "rank.container": lambda draw, F, inst: (rank, _bare_rows(F, inst)),
+    "det.container": lambda draw, F, inst: (det, _bare_rows(F, inst)),
+    "kernel.container": lambda draw, F, inst: (kernel, _bare_rows(F, inst)),
+    "invert_matrix.container": lambda draw, F, inst: (
+        invert_matrix, _bare_rows(F, inst)),
+    "adjugate.container": lambda draw, F, inst: (
+        adjugate, _bare_rows(F, inst)),
+    "solve.container": lambda draw, F, inst: (
+        solve, _bare_rows(F, inst), [F.zero] * inst.n),
+    "annihilator.container": lambda draw, F, inst: (
+        annihilator, draw(st.sampled_from([_bare_rows(F, inst),
+                                           inst.subspace.basis]))),
+    "Matrix.mul.container": lambda draw, F, inst: (
+        Matrix.identity(F, inst.n).mul, _bare_rows(F, inst)),
+    "dualize.instance": lambda draw, F, inst: (
+        dualize, _not_an_instance(draw, inst)),
+    "double_dual_check.instance": lambda draw, F, inst: (
+        double_dual_check, _not_an_instance(draw, inst)),
+    "diagonalize.instance": lambda draw, F, inst: (
+        diagonalize, draw(st.sampled_from([None, Matrix.identity(F3, 2)]))),
+    "char2_normal_form.instance": lambda draw, F, inst: (
+        char2_normal_form, draw(st.sampled_from(
+            [None, Matrix.identity(F2, 2)]))),
+    "adapted_basis.instance": lambda draw, F, inst: (
+        adapted_basis, _not_an_instance(draw, inst)),
+    "b_linked.instance": lambda draw, F, inst: (
+        b_linked, _not_an_instance(draw, inst), _zero_form(inst),
+        _zero_form(inst)),
+    "linked_coset.instance": lambda draw, F, inst: (
+        linked_coset, _not_an_instance(draw, inst), _zero_form(inst)),
+    "linked_forms.instance": lambda draw, F, inst: (
+        linked_forms, _not_an_instance(draw, inst), _zero_form(inst)),
+    "converse_relation_check.instance": lambda draw, F, inst: (
+        converse_relation_check, _not_an_instance(draw, inst), []),
+    "verify_similarity.instance": lambda draw, F, inst: (
+        verify_similarity, _not_an_instance(draw, inst),
+        _identity(F, inst.n), 1),
+    "theorem_psi_check.instance": lambda draw, F, inst: (
+        theorem_psi_check, _not_an_instance(draw, inst),
+        _identity(F, inst.n), 1),
+    "reflection.instance": lambda draw, F, inst: (
+        reflection, _not_an_instance(draw, inst), _zero_form(inst)),
+    "Matrix.field": lambda draw, F, inst: (
+        Matrix, _not_a_field(draw), _bare_rows(F, inst), inst.n),
+    "QuadraticForm.field": lambda draw, F, inst: (
+        QuadraticForm, _not_a_field(draw), [1]),
+    "MetricSpace.field": lambda draw, F, inst: (
+        MetricSpace, _not_a_field(draw), inst.n, inst.s_basis, inst.form),
+    "Matrix.identity": lambda draw, F, inst: (
+        Matrix.identity, *draw(st.sampled_from(
+            [(F, 1.0), (F, -1), (F, True), (F, "2"), (None, 2)]))),
+    "Matrix.zeros": lambda draw, F, inst: (
+        Matrix.zeros, *draw(st.sampled_from(
+            [(F, 1.0, 2), (F, 2, -1), (F, None, 2), (None, 2, 2)]))),
     "make_field": lambda draw, F, inst: (make_field, *draw(st.sampled_from(
         [(3,), (None,), (b"prime", 7), ("prime", 7.0), ("prime", "7"),
          ("prime",), ("prime", 9), ("finite", 7)]))),
