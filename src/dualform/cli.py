@@ -220,11 +220,9 @@ def _fmt_vec(v, den=1):
 
 
 def _fmt_mat(M):
-    """The rows of M as wire text: a rational matrix held as cleared rows
-    is written from them, so that no Fraction is built."""
-    if M._q is None:  # rows of residues or of Fractions
-        return list(map(_fmt_vec, M.data))
-    return list(map(_fmt_vec, *M._q))
+    """The rows of M as wire text, written from its rows as (ints, dens)
+    (see Matrix._ints), so that no Fraction is built."""
+    return list(map(_fmt_vec, *M._ints()))
 
 
 def _fmt_form(field, form):

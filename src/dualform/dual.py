@@ -11,6 +11,7 @@ the middle Gram block in an adapted basis) implemented by dualize(), and
 coset chasing via linked_coset(), kept separate so tests can cross-validate.
 """
 
+from collections import namedtuple
 from itertools import compress, repeat
 
 from .errors import NotInSHat, RadicalConditionViolated, ValidationError
@@ -20,38 +21,24 @@ from .linalg import (Matrix, Subspace, _canon, _dual_rows, _instance,
 from .quadform import MetricSpace, QuadraticForm, Radical
 
 
-class AdaptedBasis:
-    """Basis of F^n ordered radical-first: columns of a span R on i1, S on
-    i1 + i2.  Rows of a_inv are the dual basis in standard dual coordinates;
-    its rows on i3 span R^ = ann(S), whose canonical basis is the Subspace
-    r_hat.  Column j of coords holds the s_basis coordinates of column
-    j < m of a.
+class AdaptedBasis(namedtuple("AdaptedBasis",
+                              "a a_inv coords r_hat i1 i2 i3")):
+    """An adapted basis of F^n, ordered radical-first: columns of a span R
+    on the range i1, S on i1 + i2.  Rows of a_inv are the dual basis in
+    standard dual coordinates; its rows on i3 span R^ = ann(S), whose
+    canonical basis is the Subspace r_hat.  Column j of coords holds the
+    s_basis coordinates of column j < m of a.  One is memoized per instance
+    and shared by every caller, which is safe as a named tuple of immutable
+    Matrix and Subspace objects and ranges.  A dual form's is read off its
+    primal's (see dualize)."""
 
-    One is memoized per instance and shared by every caller; it holds
-    only immutable Matrix and Subspace objects and ranges, so sharing it
-    is safe.  A dual form's is read off its primal's (see dualize).
-    """
-
-    __slots__ = ("a", "a_inv", "coords", "r_hat", "i1", "i2", "i3")
-
-    def __init__(self, a, a_inv, coords, r_hat, d, m, n):
-        self.a = a
-        self.a_inv = a_inv
-        self.coords = coords
-        self.r_hat = r_hat
-        self.i1 = range(0, d)
-        self.i2 = range(d, m)
-        self.i3 = range(m, n)
+    __slots__ = ()
 
 
-class LinkedCoset:
+class LinkedCoset(namedtuple("LinkedCoset", "representative radical")):
     """A representative plus the radical it may be shifted by."""
 
-    __slots__ = ("representative", "radical")
-
-    def __init__(self, representative, radical):
-        self.representative = representative
-        self.radical = radical
+    __slots__ = ()
 
     def members(self, coeffs):
         """Representative shifted by the given combination of radical rows,
@@ -62,21 +49,19 @@ class LinkedCoset:
         return vec_add(F, self.representative, shift)
 
 
-class DualFormResult:
-    __slots__ = ("s_hat", "r_hat", "dual", "adapted", "g22", "g22_hat")
+class DualFormResult(namedtuple("DualFormResult",
+                                "s_hat r_hat dual adapted g22 g22_hat")):
+    """s_hat = ann(R) and r_hat = ann(S), subspaces of dual coordinates;
+    dual, the MetricSpace on the dual side; adapted, the primal's
+    AdaptedBasis; g22, the middle Gram block in the adapted basis, and
+    g22_hat, its inverse."""
 
-    def __init__(self, s_hat, r_hat, dual, adapted, g22, g22_hat):
-        self.s_hat = s_hat      # ann(R), subspace of dual coordinates
-        self.r_hat = r_hat      # ann(S)
-        self.dual = dual        # MetricSpace on the dual side
-        self.adapted = adapted
-        self.g22 = g22          # middle Gram block in the adapted basis
-        self.g22_hat = g22_hat  # its inverse
+    __slots__ = ()
 
 
 def adapted_basis(inst):
     """Deterministic adapted basis for an instance, computed once and
-    shared by every caller, so it must not be mutated."""
+    shared by every caller."""
     return _instance(inst, MetricSpace)._fact("_adapted", _adapted_basis)
 
 
@@ -140,7 +125,8 @@ def _adapted_basis(inst):
             V.submatrix(J, range(n)))
         top = Y._vstack(H.basis.mul(V))
     a = s_vectors._vstack(Matrix._units(F, r_hat.pivots, n)).transpose()
-    return AdaptedBasis(a, top._vstack(r_hat.basis), coords, r_hat, d, m, n)
+    return AdaptedBasis(a, top._vstack(r_hat.basis), coords, r_hat,
+                        range(d), range(d, m), range(m, n))
 
 
 def _in_s_hat(inst, rad, a_star):
@@ -226,7 +212,7 @@ def dualize(inst):
     vanishes on R, the first d columns of a.  Its adapted basis is read
     off a and a^-1 when first asked (see _dual_adapted).
 
-    Each call builds a new result, which its caller owns.
+    Each call builds a new result, equal to every other on the instance.
     """
     _check_radical_condition(_instance(inst, MetricSpace))
     F = inst.field
@@ -282,7 +268,8 @@ def _dual_adapted(ab, rad):
     a_inv = ab.a.submatrix(range(n), order).transpose()
     coords = Matrix._units(F, [t + j if j < n - m else j - (n - m)
                                for j in range(n - d)], n - d).transpose()
-    return AdaptedBasis(a, a_inv, coords, rad, n - m, n - d, n)
+    return AdaptedBasis(a, a_inv, coords, rad, range(n - m),
+                        range(n - m, n - d), range(n - d, n))
 
 
 def double_dual_check(inst):

@@ -36,6 +36,8 @@ pivot order.  The radical prefix is never touched, so the result's first d
 basis vectors span the radical.
 """
 
+from collections import namedtuple
+
 from .dual import _check_radical_condition
 from .errors import CharTwo, NotCharTwo
 from .linalg import Matrix, _canon, _instance, complete_to_ambient
@@ -45,13 +47,11 @@ DIAGONAL = "diagonal"
 MINOR_DIAGONAL_CHAR2 = "minor-diagonal-char2"
 
 
-class NormalFormResult:
-    __slots__ = ("T", "normalized", "kind")
+class NormalFormResult(namedtuple("NormalFormResult", "T normalized kind")):
+    """T, the change of basis; normalized, the instance re-expressed by it;
+    kind, DIAGONAL or MINOR_DIAGONAL_CHAR2."""
 
-    def __init__(self, T, normalized, kind):
-        self.T = T
-        self.normalized = normalized
-        self.kind = kind
+    __slots__ = ()
 
 
 def _gram_array(inst):

@@ -7,6 +7,7 @@ faithful in characteristic 2, where the Gram matrix alone loses the diagonal
 values.
 """
 
+from collections import namedtuple
 from collections.abc import Mapping
 from itertools import compress
 
@@ -105,13 +106,15 @@ class QuadraticForm:
         return f"QuadraticForm(diag={list(self.diag)}, upper={self.upper})"
 
 
-class Radical:
-    __slots__ = ("subspace", "in_domain", "dim")
+class Radical(namedtuple("Radical", "subspace in_domain")):
+    """The radical as a Subspace in ambient coordinates and in coordinates
+    relative to the s-basis."""
 
-    def __init__(self, subspace, in_domain):
-        self.subspace = subspace      # ambient coordinates
-        self.in_domain = in_domain    # coordinates relative to the s-basis
-        self.dim = subspace.dim
+    __slots__ = ()
+
+    @property
+    def dim(self):
+        return self.subspace.dim
 
 
 class MetricSpace:

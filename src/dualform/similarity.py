@@ -6,6 +6,8 @@ transpose acts on dual coordinate rows; with the standard pairing this is
 the plain matrix transpose.
 """
 
+from collections import namedtuple
+
 from .dual import _check_radical_condition, _linked_form, dualize
 from .errors import (IsotropicVector, LengthMismatch, NotInSubspace,
                      Singular, ZeroRatio)
@@ -32,10 +34,6 @@ class LinearMap:
         self = object.__new__(cls)
         self.matrix = matrix
         return self
-
-    @property
-    def field(self):
-        return self.matrix.field
 
     def apply(self, vec):
         return self.matrix.mul_vec(vec)
@@ -96,18 +94,14 @@ def _scales_form(inst, images, c):
     return inst._form_in(images) == scaled
 
 
-class SimilarityReport:
-    __slots__ = ("preserves_s", "ratio", "primal_ok", "dual_ok", "blocks",
-                 "zero_blocks_ok")
+class SimilarityReport(namedtuple("SimilarityReport", "preserves_s ratio "
+                                  "primal_ok dual_ok blocks zero_blocks_ok")):
+    """preserves_s, whether psi maps S into S; ratio, the ratio c as a
+    scalar; primal_ok and dual_ok, the two verdicts; blocks, {(r, s):
+    Matrix}, all nine blocks of psi in the adapted basis; zero_blocks_ok,
+    {(2, 1): bool, ...}, whether each block below the diagonal is zero."""
 
-    def __init__(self, preserves_s, ratio, primal_ok, dual_ok, blocks,
-                 zero_blocks_ok):
-        self.preserves_s = preserves_s
-        self.ratio = ratio
-        self.primal_ok = primal_ok
-        self.dual_ok = dual_ok
-        self.blocks = blocks            # {(r, s): Matrix}, all nine blocks
-        self.zero_blocks_ok = zero_blocks_ok  # {(2,1): bool, ...}
+    __slots__ = ()
 
 
 def theorem_psi_check(inst, psi, c):

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 
 from dualform import Matrix, ValidationError, adjugate, cli, det, linalg
 from dualform.cli import MAX_DIGITS, MAX_DIM, main, parse_problem
-from helpers import FQ
+from helpers import FQ, record_calls
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -442,6 +443,25 @@ def test_scalar_at_the_digit_limit_is_accepted(capsys, tmp_path):
     assert json.loads(out)["dimension"] == 1
 
 
+def test_a_result_over_the_str_digit_limit_is_an_error_line(capsys,
+                                                            tmp_path,
+                                                            digit_limit):
+    """A 7 x 7 rational input of rank 6 with entries below 4 * 10**998,
+    each within MAX_DIGITS, has det 0, but its adjugate entries, 6 x 6
+    minors of about 6000 digits, pass Python's int-to-text digit limit,
+    pinned at its default 4300: one error line, exit 1 and no output."""
+    rng = random.Random(5)
+    rows = [[rng.randrange(2 * 10 ** 998) for _ in range(7)]
+            for _ in range(6)]
+    rows.append([a + b for a, b in zip(rows[0], rows[1])])
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"field": {"kind": "rational"},
+                                "M": [[str(x) for x in r] for r in rows]}))
+    code, out, err = run_cli(capsys, "adjugate", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: result scalar has too many digits to print\n"
+
+
 class TestDeterminism:
     def test_byte_identical_runs(self, capsys):
         outs = []
@@ -561,3 +581,52 @@ def test_half_gram_override_is_checked_before_the_input(capsys, tmp_path):
     code, _, err = run_cli(capsys, "dualize", str(path), "--half-gram")
     assert code == 1
     assert "invalid JSON" in err
+
+
+# The eliminations (rref and _echelon calls, shape rows x cols) that each
+# CLI command runs on a fixture.  A change that adds one must edit this
+# table and say why in CHANGES.md.
+ELIMINATIONS = {
+    ("radical", "paper5.json"):
+        [("rref", 3, 5), ("_echelon", 3, 3), ("_echelon", 1, 5)],
+    ("check-condition", "rad2_gf2.json"):
+        [("rref", 2, 3), ("_echelon", 2, 2), ("_echelon", 2, 3)],
+    ("dualize", "paper5.json"):
+        [("rref", 3, 5), ("_echelon", 3, 3), ("_echelon", 1, 5),
+         ("_echelon", 2, 5), ("rref", 2, 2), ("_echelon", 1, 5)],
+    ("double-dual", "paper5.json"):
+        [("rref", 3, 5), ("_echelon", 3, 3), ("_echelon", 1, 5),
+         ("_echelon", 2, 5), ("rref", 2, 2), ("_echelon", 1, 5),
+         ("rref", 2, 2), ("_echelon", 2, 5)],
+    ("linked", "paper5.json", "--form", "0,1,0,0,0"):
+        [("rref", 3, 5), ("_echelon", 3, 3), ("_echelon", 1, 5),
+         ("rref", 3, 3)],
+    ("linked-forms", "paper5.json", "--vector", "0,1,0,0,0"):
+        [("rref", 3, 5), ("_echelon", 3, 3), ("_echelon", 1, 5),
+         ("_echelon", 2, 5)],
+    ("normalize", "paper5.json"):
+        [("rref", 3, 5), ("_echelon", 3, 3), ("_echelon", 1, 5),
+         ("_echelon", 1, 3)],
+    ("normalize", "hyp_gf2.json"):
+        [("rref", 2, 2), ("_echelon", 2, 2), ("_echelon", 0, 2)],
+    ("similarity", "paper5.json", "--map", "reflection_map.json"):
+        [("rref", 3, 5), ("_echelon", 5, 5), ("_echelon", 3, 3),
+         ("_echelon", 1, 5), ("_echelon", 2, 5), ("rref", 2, 2),
+         ("_echelon", 1, 5)],
+    ("adjugate", "adjugate_sym.json"): [("_echelon", 2, 2)],
+}
+
+
+def test_each_command_runs_its_pinned_eliminations(capsys, monkeypatch):
+    """Every CLI command, run on a fixture, makes exactly the eliminations
+    of ELIMINATIONS, in order; normalize twice, as over GF(2) it takes
+    the characteristic-2 route."""
+    assert {key[0] for key in ELIMINATIONS} == set(cli._COMMANDS) | \
+        {"adjugate"}
+    calls = record_calls(monkeypatch, linalg.rref, linalg._echelon)
+    for (command, name, *flags), shapes in ELIMINATIONS.items():
+        flags = [fx(f) if f.endswith(".json") else f for f in flags]
+        del calls[:]
+        code, out, err = run_cli(capsys, command, fx(name), *flags)
+        assert (code, err) == (0, "") and out
+        assert calls == shapes, (command, name)

@@ -7,8 +7,9 @@ import pytest
 from dualform import (LengthMismatch, LinearMap, Matrix, MetricSpace,
                       NotInSHat, NotInSubspace, QuadraticForm,
                       RadicalConditionViolated, Subspace, adapted_basis,
-                      b_linked, converse_relation_check, double_dual_check,
-                      dualize, linked_coset, linked_forms, theorem_psi_check)
+                      b_linked, converse_relation_check, diagonalize,
+                      double_dual_check, dualize, linked_coset, linked_forms,
+                      theorem_psi_check)
 from dualform import dual, fields, linalg
 from dualform.cli import parse_problem
 from dualform.linalg import dot, vec_add, vec_scale
@@ -703,3 +704,23 @@ def test_the_radical_first_test_reads_the_radical_coordinates(
     ab = adapted_basis(inst)
     assert seen == []
     assert (ab.coords == Matrix.identity(F, inst.m)) == first
+
+
+def test_the_paper_results_are_immutable_values():
+    """The results are named tuples: the facts an instance shares
+    (radical, adapted basis) and every result built per call refuse an
+    assignment to a field, so no caller can change what a later caller
+    reads, and two dualize calls on one instance return equal results."""
+    inst = _parsed("paper5.json")
+    psi = LinearMap(Matrix.identity(FQ, 5))
+    results = [(inst.radical(), "dim"), (inst.radical(), "subspace"),
+               (adapted_basis(inst), "a_inv"), (dualize(inst), "dual"),
+               (linked_coset(inst, (0, 1, 0, 0, 0)), "representative"),
+               (diagonalize(inst), "T"),
+               (theorem_psi_check(inst, psi, 1), "primal_ok")]
+    for result, field in results:
+        with pytest.raises(AttributeError):
+            setattr(result, field, None)
+    assert inst.radical().dim == 1
+    assert dualize(inst) == dualize(inst)
+    assert dualize(inst).adapted is adapted_basis(inst)

@@ -1,5 +1,4 @@
 import random
-import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
@@ -173,16 +172,6 @@ def test_bad_scalar_text_raises_an_algebra_error(field, text, error,
             read(text)
         assert isinstance(exc.value, AlgebraError)
         assert isinstance(exc.value, builtin)
-
-
-@pytest.fixture
-def digit_limit():
-    """Python's int/str conversion digit limit, set to its default 4300
-    for the test and restored after."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield 4300
-    sys.set_int_max_str_digits(old)
 
 
 @pytest.mark.parametrize("field", [make_field("rational"),

@@ -650,17 +650,23 @@ def test_equality_and_hash_see_the_shape(F):
     lambda: paper5().from_coords((0.5,)),
     lambda: linked_coset(paper5(), (0, 1, 0, 0, 0)).members(["x", None]),
     lambda: Matrix(FQ, [[1, 2]]).mul(Matrix(F3, [[1], [2]])),
+    lambda: det(Matrix(FQ, [[1, 0, 1], [0, 1, 1]])),
+    lambda: invert_matrix(Matrix(F2, [[1, 0], [0, 1], [1, 1]])),
+    lambda: adjugate(Matrix(FQ, [[1, 0, 1], [0, 1, 1]])),
 ], ids=["metric-space-basis", "coords-matrix", "coords-of", "from-coords",
         "eval-b", "eval-q", "from-rows", "coordinates", "mul-vec", "b-linked",
         "linked-coset", "members", "matrix-cols", "matrix-ragged",
         "coords-of-bad-text", "from-coords-float", "members-bad-scalars",
-        "mul-mixed-fields"])
+        "mul-mixed-fields", "det-non-square", "invert-non-square",
+        "adjugate-non-square"])
 def test_a_wrong_width_input_is_refused(call):
     """Every vector or coefficient list from outside has its width checked
     where it enters: by the Matrix it is read into, or by the product it
     first feeds.  The width is checked before any entry is coerced, so a
-    wrong-width input with bad entries is a LengthMismatch too.  A product of matrices over different fields is refused the
-    same way, as MetricSpace refuses a form over another field."""
+    wrong-width input with bad entries is a LengthMismatch too.  A product
+    of matrices over different fields is refused the same way, as
+    MetricSpace refuses a form over another field, and so is a non-square
+    matrix given to det, invert_matrix or adjugate."""
     with pytest.raises(LengthMismatch):
         call()
 

@@ -67,7 +67,7 @@ SURFACE = {
     "normal": {"DIAGONAL", "MINOR_DIAGONAL_CHAR2", "NormalFormResult",
                "char2_normal_form", "diagonalize"},
     "quadform": {
-        "Radical",
+        "Radical", "Radical.dim",
         "MetricSpace", "MetricSpace.change_of_basis",
         "MetricSpace.coords_matrix", "MetricSpace.coords_of",
         "MetricSpace.eval_b", "MetricSpace.eval_q", "MetricSpace.from_coords",
@@ -78,7 +78,7 @@ SURFACE = {
     "similarity": {
         "SimilarityReport", "reflection", "theorem_psi_check",
         "transpose_map", "verify_similarity",
-        "LinearMap", "LinearMap.apply", "LinearMap.field"},
+        "LinearMap", "LinearMap.apply"},
 }
 MEMBERS = (types.FunctionType, classmethod, staticmethod, property)
 

@@ -6,11 +6,21 @@
 Run from anywhere.  This checkout's src/dualform and OTHER_ROOT's are
 imported side by side in one process, as the packages dualform_this and
 dualform_other.  The problems come from bench/workloads.py, generated
-once and handed to both trees; each tree runs every problem, the order
-alternating from one problem to the next, and the workload's own check
-judges every result.  A shared host drifts in speed by tens of per cent
-within a minute, so timings of two trees taken one after the other can
-mislead; interleaved per problem, both see the same moments of host speed.
+once and handed to both trees; each tree runs every problem, and the
+workload's own check judges every result.  A shared host drifts in speed
+by tens of per cent within a minute, so timings of two trees taken one
+after the other can mislead; interleaved per problem, both see the same
+moments of host speed.
+
+Which tree runs a problem first is drawn by a coin seeded with the seed.
+The tree that runs first, just after the problem is generated, is the
+slower one more often, and the workloads cycle through their shapes with
+an even period (sweep-small's fields with period 4), so an order that
+simply alternated gave each shape the same first tree at every visit.
+Run against itself that way, over 200 problems at seeds 21 and 22,
+sweep-small read total 1.026 and 0.981 and this tree faster on only 81
+and 96: on GF(2) and GF(5), where this tree always ran first, it was
+faster on 10 to 18 of 50.
 
 Runs one such comparison per seed (default 7; --seed S is the same as
 --seeds S).  Prints one line per seed: each tree's total time, the
@@ -18,12 +28,14 @@ ratios this/other of the totals and of the median (p50) times, and on
 how many problems this tree was the faster; then on how many seeds this
 tree's total was the lower.  Exits 1 if a check fails on either tree.
 
-A tree compared with itself reads off 1 by several per cent.  Over 200
-problems at seed 71, sweep-small read total 0.998, p50 0.985 and faster
-on 92; dual-gfp 1.001, 1.012 and faster on 103.  At seed 52 dual-gfp
-read 1.056 and 1.041, cli 1.005 and 1.043.  So one run within 6 per cent
-of 1, or faster on between about 40 and 55 per cent of the problems, is
-no evidence of a difference: repeat the run with several seeds.
+A tree compared with itself still reads off 1 by several per cent.  Over
+200 problems at seeds 21 to 24, sweep-small read totals 0.926 to 1.000,
+p50 0.989 to 1.008 and faster on 97 to 102; dual-gfp 0.973 to 1.001,
+0.983 to 1.041 and 96 to 107; cli 0.958 to 1.052, 0.982 to 1.064 and
+92 to 100.  So one run within 8 per cent of 1, or faster on between
+about 45 and 55 per cent of the problems, is no evidence of a
+difference: repeat the run with several seeds, and in both directions,
+each tree's copy of this script taking the other as OTHER_ROOT.
 """
 
 import argparse
@@ -31,6 +43,7 @@ import gc
 import importlib
 import importlib.util
 import os
+import random
 import statistics
 import sys
 import tempfile
@@ -57,8 +70,9 @@ def load(root, alias):
 
 def compare(workload, packages, problems, seed):
     """Per-problem times {name: [s, ...]} of each tree in packages on the
-    workload's problems at seed, alternating which runs first, and the
-    number of failed checks per tree."""
+    workload's problems at seed, which tree runs first drawn per problem
+    by a coin seeded with seed, and the number of failed checks per
+    tree."""
     times = {name: [] for name in packages}
     with tempfile.TemporaryDirectory() as tmp:
         wls = {}
@@ -69,11 +83,13 @@ def compare(workload, packages, problems, seed):
         for wl in wls.values():
             wl.check(warm, wl.run(warm))
         gc.collect()
+        coin = random.Random(f"ab_compare order {seed}")
         for k in range(problems):
             spec = wls["this"].spec(k)
             if spec is None:
                 break  # a finite pool is exhausted
-            for name in (("this", "other") if k % 2 else ("other", "this")):
+            for name in (("this", "other") if coin.random() < 0.5
+                         else ("other", "this")):
                 t0 = time.perf_counter()
                 out = wls[name].run(spec)
                 times[name].append(time.perf_counter() - t0)
@@ -101,7 +117,7 @@ def main(argv=None):
     packages = {name: load(root, "dualform_" + name)
                 for name, root in roots.items()}
     print(f"{args.workload}, this {roots['this']}, other {roots['other']}, "
-          "order alternated per problem")
+          "order drawn per problem")
     lower = failed = 0
     for seed in seeds:
         times, failures = compare(args.workload, packages, args.problems,
